@@ -29,6 +29,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # non-negligible weight past any fixed quantile.
 _TAIL_EPS = 1e-13
 
+# Read in place of a u = 0 draw whose inverse-cdf transform is non-finite; it
+# is half the smallest positive value rng.random() returns (2**-53).
+ZERO_DRAW = 2.0**-54
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
@@ -386,14 +390,34 @@ def _fd_density(model: DistributionModel, theta: float) -> float:
     return num / (12.0 * h)
 
 
+def mend_zero_draws(model: DistributionModel, u, x) -> np.ndarray:
+    """``x = model.quantile(u)`` with each non-finite value that comes from a
+    ``u = 0`` draw replaced by ``model.quantile(ZERO_DRAW)``.
+
+    ``rng.random()`` can return 0, and an unbounded lower tail maps it to
+    ``-inf`` (Gaussian).  Callers pass ``x`` here only when it holds a
+    non-finite value; other non-finite values are left for them to report.
+    """
+    zero = (u == 0.0) & ~np.isfinite(x)
+    return np.where(zero, model.quantile(ZERO_DRAW), x)
+
+
 def sample(model: DistributionModel, rng: np.random.Generator) -> float:
     """One draw via inverse-cdf transform of ``rng.random()``."""
-    return float(model.quantile(rng.random()))
+    u = rng.random()
+    x = float(model.quantile(u))
+    if not math.isfinite(x):
+        x = float(mend_zero_draws(model, u, x))
+    return x
 
 
 def sample_array(model: DistributionModel, rng: np.random.Generator, size) -> np.ndarray:
     """Vectorized draws; bit-identical to repeated :func:`sample` calls."""
-    return np.asarray(model.quantile(rng.random(size)), dtype=np.float64)
+    u = rng.random(size)
+    x = np.asarray(model.quantile(u), dtype=np.float64)
+    if not np.isfinite(x).all():
+        x = mend_zero_draws(model, u, x)
+    return x
 
 
 def substream(master_seed: int, experiment_id: int, replicate: int) -> np.random.Generator:

@@ -87,7 +87,6 @@ def step(state: JointEstimatorState, x: float) -> JointEstimatorState:
     ind_q = 1.0 if x <= theta_old else 0.0
 
     theta = (theta_old - ind_q * a_n) + a_n * alpha
-    assert abs(theta - theta_old) <= a_n * max(alpha, 1.0 - alpha) * (1.0 + 1e-12)
 
     cn = n / (n + 1)
     cn1 = 1.0 / (n + 1)

@@ -12,6 +12,8 @@ and completion order irrelevant to the output.
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,7 +27,19 @@ from .schedules import StepSchedule
 VARIANT_KEYS = ("embedded", "classical", "bardou")
 ESTIMATOR_KEYS = ("theta", "theta_bar") + VARIANT_KEYS
 
-_CHUNK = 4096
+# Draws are made and transformed a chunk of steps at a time, as (steps,
+# replicates) float64 arrays of which a few are live at once.  The chunk is cut
+# so that one such array, counted over all replicates of the experiment (every
+# thread block together), holds at most _CHUNK_DOUBLES; the floor, reached above
+# 8192 replicates, keeps per-chunk Python costs amortised.  Results do not
+# depend on the chunk length.
+_CHUNK_DOUBLES = 2**21
+_CHUNK_MIN = 256
+_CHUNK_MAX = 4096
+
+
+def _chunk_steps(replicates: int) -> int:
+    return max(_CHUNK_MIN, min(_CHUNK_MAX, _CHUNK_DOUBLES // replicates))
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,8 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run all replicates to max(n_grid), recording every estimator at each
-    checkpoint.  Results are independent of ``threads``."""
+    checkpoint.  Results are independent of ``threads``; more threads than
+    CPUs draw a warning, as they slow the run down."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     oracle = distributions.oracle(config.model, config.alpha)
@@ -131,7 +146,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     r_total = config.replicates
     estimates = {key: np.empty((n_checkpoints, r_total)) for key in ESTIMATOR_KEYS}
 
-    bounds = _block_bounds(r_total, min(threads, r_total))
+    workers = min(threads, r_total)
+    cpus = os.cpu_count()
+    if cpus is not None and workers > cpus:
+        warnings.warn(
+            f"{workers} threads on {cpus} CPUs: expect a slower run, not a faster one",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    bounds = _block_bounds(r_total, workers)
 
     def work(lo: int, hi: int) -> None:
         rngs = [
@@ -187,6 +210,8 @@ def _simulate_block(
     else:
         u0 = np.array([rng.random() for rng in rngs])
         x0 = np.asarray(model.quantile(u0), dtype=np.float64)
+        if not np.isfinite(x0).all():
+            x0 = distributions.mend_zero_draws(model, u0, x0)
         theta = x0.copy()
         sq0 = x0 / (1.0 - alpha)
     theta_bar = theta.copy()
@@ -204,20 +229,23 @@ def _simulate_block(
     ind_bar = np.empty(r_block, dtype=bool)
     ind_th = np.empty(r_block, dtype=bool)
 
+    chunk = _chunk_steps(config.replicates)
     n = 0
     grid_pos = 0
     while n < n_total:
-        span = min(_CHUNK, n_total - n)
+        span = min(chunk, n_total - n)
         u = np.empty((span, r_block))
         for j, rng in enumerate(rngs):
             u[:, j] = rng.random(span)
         x_chunk = np.asarray(model.quantile(u), dtype=np.float64)
         if not np.isfinite(x_chunk).all():
-            bad = np.argwhere(~np.isfinite(x_chunk))[0]
-            raise RuntimeError(
-                f"non-finite draw at replicate {replicate_offset + int(bad[1])}, "
-                f"step {n + int(bad[0]) + 1}"
-            )
+            x_chunk = distributions.mend_zero_draws(model, u, x_chunk)
+            bad = np.argwhere(~np.isfinite(x_chunk))
+            if bad.size:
+                raise RuntimeError(
+                    f"non-finite draw at replicate {replicate_offset + int(bad[0, 1])}, "
+                    f"step {n + int(bad[0, 0]) + 1}"
+                )
         for t in range(span):
             x = x_chunk[t]
             a_n = sched.gain_a(n if n >= 1 else 1)

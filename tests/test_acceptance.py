@@ -1,15 +1,23 @@
 """Acceptance gate: every criterion at its stated scale and tolerance.
 
 Each test prints one `ACCEPTANCE <id>: PASS/FAIL` line (visible with
-`pytest -s`).  Criterion 7a is a KNOWN RED: it asserts that the heavy-tail
-variant comparison's asymptotic ordering is already visible empirically at
-n = 1e6, but exact covariance iteration of the linearized dynamics shows the
-embedded/classical MSE ratio is ~1.25 there (the classical variant approaches
-its own asymptote from below at the n^-0.1 rate set by 2(b1 - 1/2), so the
-ratio first drops below 1 only near n ~ 1e14).  The check is kept faithful to
-its statement rather than loosened; see the repository README.
+`pytest -s`).  Three criteria are KNOWN RED, and each is kept faithful to its
+statement rather than re-seeded or loosened (see the repository README):
+
+* 2: n*mse = 0.22407 against 0.25 +-10%.  The linearized system predicts
+  0.2513 at n = 1e6; the fixed seed is a z = -2.32 draw, and at 1000
+  replicates the +-10% band is only +-2.24 standard errors wide.
+* 4: the fast-regime slope is -1.147 against -1 +-0.1.  The linearized
+  warm-start prediction on the same grid is -1.13, so the fit is still
+  pre-asymptotic.
+* 7a: the heavy-tail embedded/classical MSE ratio at n = 1e6 is 1.516, above
+  the 1.25 that the linearized dynamics predict and far from the asymptotic
+  ordering (< 1) the criterion asserts.  The classical variant approaches its
+  own asymptote from below at the n^-0.1 rate set by 2(b1 - 1/2), so the ratio
+  first drops below 1 only near n ~ 1e14.
 """
 
+import dataclasses
 import math
 import time
 
@@ -39,6 +47,7 @@ from streamrisk.distributions import (
 )
 from streamrisk.experiments import (
     ExperimentConfig,
+    ExperimentResult,
     compare_variants,
     empirical_clt_cov,
     fit_rate,
@@ -48,7 +57,7 @@ from streamrisk.experiments import (
 from streamrisk.schedules import StepSchedule
 
 SEED = 20240817
-SEED_C2 = 20240817  # adjusted below if the default draw is atypical
+SEED_C2 = 20240817
 GRID_1E3_1E6 = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
 GRID_1E2_1E5 = (100, 316, 1000, 3162, 10000, 31623, 100000)
 
@@ -86,12 +95,31 @@ def test_criterion_01_oracle_equivalence():
 
 # --- criterion 2: averaged-quantile CLT constant ----------------------------
 
-def test_criterion_02_averaged_quantile_constant():
+@pytest.fixture(scope="module")
+def uniform_fast_result():
+    """Criterion 5's run; criterion 2 reads its first 1000 replicates."""
+    cfg = ExperimentConfig(
+        model=Uniform(0.0, 1.0), alpha=0.5, schedule=FAST,
+        n_grid=(1000000,), replicates=2000, master_seed=SEED, warm_start=True,
+    )
+    return run_experiment(cfg)
+
+
+def test_criterion_02_averaged_quantile_constant(uniform_fast_result):
     cfg = ExperimentConfig(
         model=Uniform(0.0, 1.0), alpha=0.5, schedule=FAST,
         n_grid=(1000000,), replicates=1000, master_seed=SEED_C2, warm_start=True,
     )
-    res = run_experiment(cfg)
+    # Replicate r draws from substream (seed, experiment, r) alone, so a run
+    # that differs only in having more replicates holds this one's data as its
+    # first cfg.replicates lanes, bit for bit.
+    shared = uniform_fast_result
+    assert dataclasses.replace(shared.config, replicates=cfg.replicates) == cfg
+    res = ExperimentResult(
+        config=cfg,
+        oracle=shared.oracle,
+        estimates={k: v[:, : cfg.replicates] for k, v in shared.estimates.items()},
+    )
     mse, _ = res.mse_curve("theta_bar")
     value = 1e6 * mse[0]
     ok = abs(value - 0.25) <= 0.025
@@ -152,12 +180,8 @@ def test_criterion_04_fast_regime_rate():
 
 # --- criterion 5: joint CLT covariance --------------------------------------
 
-def test_criterion_05_joint_clt_covariance():
-    cfg = ExperimentConfig(
-        model=Uniform(0.0, 1.0), alpha=0.5, schedule=FAST,
-        n_grid=(1000000,), replicates=2000, master_seed=SEED, warm_start=True,
-    )
-    res = run_experiment(cfg)
+def test_criterion_05_joint_clt_covariance(uniform_fast_result):
+    res = uniform_fast_result
     cov, se = empirical_clt_cov(res, 1000000)
     s2 = clt_covariance_fast(res.oracle, 1.0)
     assert s2[0, 0] == pytest.approx(0.25, abs=1e-12)

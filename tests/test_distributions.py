@@ -8,6 +8,7 @@ from streamrisk.distributions import (
     Gaussian,
     Pareto,
     Uniform,
+    ZERO_DRAW,
     numeric_oracle,
     oracle,
     sample,
@@ -143,6 +144,18 @@ class TestSampling:
         a = np.concatenate([sample_array(m, rng, 10), sample_array(m, rng, 22)])
         b = sample_array(m, substream(5, 0, 0), 32)
         assert np.array_equal(a, b)
+
+    def test_zero_draw_is_read_as_zero_draw_constant(self):
+        class ZeroRng:
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        m = Gaussian(1.0, 2.0)
+        expected = float(m.quantile(ZERO_DRAW))
+        assert math.isfinite(expected) and not math.isfinite(m.quantile(0.0))
+        assert sample(m, ZeroRng()) == expected
+        assert np.array_equal(sample_array(m, ZeroRng(), 3), np.full(3, expected))
+        assert sample(Exponential(1.0), ZeroRng()) == 0.0
 
     def test_substream_rejects_negative_components(self):
         with pytest.raises(ValueError):

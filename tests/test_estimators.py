@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import streamrisk as sr
 from streamrisk.distributions import sample, substream
 from streamrisk.estimators import init, run_stream, step
-from streamrisk.experiments import ExperimentConfig, run_experiment, _simulate_block
+from streamrisk.experiments import ExperimentConfig, _chunk_steps, _simulate_block, run_experiment
 from streamrisk.schedules import StepSchedule
 
 FAST = StepSchedule(a1=1.0, a_exp=2 / 3, b1=1.0, b_exp=1.0)
@@ -172,25 +172,37 @@ def test_determinism_same_seed_same_state():
     assert run() == run()
 
 
-@pytest.mark.parametrize("warm", [True, False])
+# Wide enough that the memory budget cuts chunks shorter than 4096 steps; its
+# checkpoints sit on and next to the chunk boundaries.
+_WIDE = 4096
+_WIDE_CHUNK = _chunk_steps(_WIDE)
+_WIDE_GRID = (_WIDE_CHUNK - 1, _WIDE_CHUNK, _WIDE_CHUNK + 1, 2 * _WIDE_CHUNK, 2 * _WIDE_CHUNK + 3)
+
+
 @pytest.mark.parametrize(
-    "model", [sr.Uniform(0, 1), sr.Exponential(1.0), sr.Pareto(1.0, 2.2)], ids=str
+    "model, warm, replicates, n_grid",
+    [
+        pytest.param(model, warm, 3, (3, 17, 5000), id=f"{model}-{warm}")
+        for model in (sr.Uniform(0, 1), sr.Exponential(1.0), sr.Pareto(1.0, 2.2))
+        for warm in (True, False)
+    ]
+    + [pytest.param(sr.Gaussian(0.0, 1.0), False, _WIDE, _WIDE_GRID, id="wide-Gaussian-False")],
 )
-def test_vectorized_engine_matches_scalar_stream(model, warm):
+def test_vectorized_engine_matches_scalar_stream(model, warm, replicates, n_grid):
     sched = StepSchedule(a1=1.0, a_exp=0.6, b1=0.8, b_exp=0.75)
     cfg = ExperimentConfig(
         model=model,
         alpha=0.85,
         schedule=sched,
-        n_grid=(3, 17, 5000),
-        replicates=3,
+        n_grid=n_grid,
+        replicates=replicates,
         master_seed=314,
         warm_start=warm,
     )
     oracle = sr.oracle(model, cfg.alpha)
-    rngs = [substream(314, 0, r) for r in range(3)]
+    rngs = [substream(314, 0, r) for r in range(replicates)]
     block = _simulate_block(cfg, oracle, rngs, 0)
-    for r in range(3):
+    for r in sorted({0, 1, replicates // 2, replicates - 1}):
         rng = substream(314, 0, r)
         if warm:
             state = init(cfg.alpha, sched, oracle.theta_alpha, oracle.vartheta_alpha)
@@ -236,6 +248,6 @@ def test_superquantile_hits_oracle_on_most_replicates():
         master_seed=88,
         warm_start=False,
     )
-    res = run_experiment(cfg, threads=4)
+    res = run_experiment(cfg)
     hits = np.abs(res.estimates["embedded"][0] - res.oracle.vartheta_alpha) < 0.05
     assert hits.mean() >= 0.95

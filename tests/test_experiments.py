@@ -1,10 +1,13 @@
 import math
+import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import streamrisk as sr
-from streamrisk.distributions import sample, substream
+from streamrisk.distributions import ZERO_DRAW, sample, substream
 from streamrisk.estimators import init, step
 from streamrisk.experiments import (
     ExperimentConfig,
@@ -158,6 +161,70 @@ class TestRunExperiment:
         rngs = [substream(555, 0, r) for r in range(2)]
         with pytest.raises(RuntimeError, match=r"non-finite draw at replicate \d+, step \d+"):
             _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.5), rngs, 0)
+
+    def test_more_threads_than_cpus_warns(self):
+        threads = os.cpu_count() + 1
+        cfg = small_config(replicates=max(8, threads))
+        with pytest.warns(RuntimeWarning, match="threads on"):
+            run_experiment(cfg, threads=threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(cfg, threads=1)
+
+    def test_zero_draw_is_read_as_zero_draw_constant(self):
+        # A u = 0 draw maps to -inf under the Gaussian inverse cdf; the engine
+        # must read it as ZERO_DRAW, as the scalar reference does, in the
+        # initial draw (lane 0) and inside a chunk (lane 1).
+        cfg = small_config(model=sr.Gaussian(0.0, 1.0), n_grid=(3, 40), replicates=3)
+        zero_at = {0: 0, 1: 7}
+
+        def rngs():
+            return [
+                _ZeroAt(substream(555, 0, r), zero_at[r]) if r in zero_at else substream(555, 0, r)
+                for r in range(3)
+            ]
+
+        block = _simulate_block(cfg, sr.oracle(cfg.model, cfg.alpha), rngs(), 0)
+        for r, rng in enumerate(rngs()):
+            x0 = sample(cfg.model, rng)
+            if r == 0:
+                assert x0 == cfg.model.quantile(ZERO_DRAW)
+            state = init(cfg.alpha, FAST, x0, x0 / (1.0 - cfg.alpha))
+            for k, n_target in enumerate(cfg.n_grid):
+                while state.n < n_target:
+                    step(state, sample(cfg.model, rng))
+                assert block["theta"][k, r] == state.theta
+                assert block["embedded"][k, r] == state.sq_embedded
+                assert block["bardou"][k, r] == state.sq_bardou
+
+
+class _ZeroAt:
+    """Generator stub: the draws of ``rng`` with draw number ``k`` set to 0."""
+
+    def __init__(self, rng: np.random.Generator, k: int) -> None:
+        self.rng, self.k, self.drawn = rng, k, 0
+
+    def random(self, size=None):
+        u = self.rng.random(1 if size is None else size)
+        if self.drawn <= self.k < self.drawn + u.size:
+            u[self.k - self.drawn] = 0.0
+        self.drawn += u.size
+        return float(u[0]) if size is None else u
+
+
+def test_chunk_memory_stays_within_budget():
+    # 4096 replicates over 1500 steps: a fixed 4096-step chunk would make each
+    # (steps, replicates) draw array 49 MB.  The engine cuts chunks so that one
+    # such array holds at most 2**21 doubles (16 MiB), a few of which are live.
+    budget = 2**21 * 8
+    cfg = small_config(replicates=4096, n_grid=(1500,), warm_start=True)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * budget, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def _fake_result(pairs: np.ndarray, n: int = 1) -> ExperimentResult:
