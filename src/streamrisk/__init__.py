@@ -8,6 +8,7 @@ from .asymptotics import (
     c_alpha_b1,
     clt_covariance_fast,
     clt_variance_slow,
+    finite_n_mse,
     mse_bound_averaged_quantile,
     mse_bound_embedded,
     sigma_from_generator,

@@ -4,11 +4,16 @@ Everything here is a pure function of a :class:`~streamrisk.distributions.RiskOr
 and step-schedule parameters.  Rate bounds return first-order terms only; the
 remainder constants are existence statements without values, so the remainders
 are exposed as exponents and never fabricated numerically.
+
+:func:`finite_n_mse` is the one finite-n quantity: the exact second moment of
+a linearized surrogate of the recursions.  It is a prediction for what a
+finite-horizon experiment should read, not a value of any remainder constant.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,3 +258,59 @@ def report(oracle: RiskOracle, schedule: StepSchedule) -> AsymptoticReport:
         averaged_remainder_exponent=averaged_quantile_remainder_exponent(schedule.a_exp),
         embedded_remainder_exponent=embedded_remainder_exponent(schedule),
     )
+
+
+def finite_n_mse(
+    oracle: RiskOracle, schedule: StepSchedule, n_grid: Sequence[int]
+) -> dict[str, np.ndarray]:
+    """Exact MSE of ``theta_bar``, ``embedded`` and ``classical`` at each ``n``
+    of ``n_grid`` in the warm-started linearized system.  With t the quantile
+    deviation, s its running sum (theta_bar deviates by s / n), and e, c the
+    embedded and classical deviations, the update at counter k with gains
+    a_k = gain_a(max(k, 1)) and b_k = gain_b(k) reads
+
+        t' = (1 - a_k f) t + a_k dM            s' = s + t'
+        e' = (1 - b_k) e - b_k g s / k + b_k / (1 - alpha) dN
+        c' = (1 - b_k) c - b_k g t     + b_k / (1 - alpha) dN
+
+    where g = theta_alpha f / (1 - alpha), Var dM = alpha (1 - alpha),
+    Var dN = v_alpha and Cov(dM, dN) = alpha (1 - alpha) vartheta_alpha.  From
+    the warm start the state stays centred, so the MSEs are entries of its
+    covariance P <- A_k P A_k^T + L_k Q L_k^T, iterated exactly (less the cross
+    terms of s and e with c, which feed none of them).
+    """
+    grid = [int(n) for n in n_grid]
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"n_grid must be strictly increasing positive integers, got {n_grid}")
+    one_m = 1.0 - oracle.alpha
+    f = oracle.density_at_quantile
+    g = oracle.theta_alpha * f / one_m
+    q_mm = oracle.alpha * one_m
+    q_mn = q_mm * oracle.vartheta_alpha
+    tt = ts = ss = te = se = ee = tc = cc = 0.0
+    rows = []
+    for k in range(grid[-1]):
+        k1 = max(k, 1)
+        a, b = schedule.gain_a(k1), schedule.gain_b(k)
+        ca, cb, bn = 1.0 - a * f, 1.0 - b, b / one_m
+        u = b * g  # classical: loading of t
+        w = u / k1  # embedded: loading of s (the state is still zero at k = 0)
+        noise_mn, noise_nn = a * bn * q_mn, bn * bn * oracle.v_alpha
+        tt_n = ca * ca * tt + a * a * q_mm
+        te_n = ca * (cb * te - w * ts) + noise_mn
+        tc_n = ca * (cb * tc - u * tt) + noise_mn
+        # every right-hand side reads the previous step's entries
+        tt, ts, ss, te, se, ee, tc, cc = (
+            tt_n,
+            tt_n + ca * ts,
+            tt_n + 2.0 * ca * ts + ss,
+            te_n,
+            te_n + cb * se - w * ss,
+            cb * cb * ee - 2.0 * w * cb * se + w * w * ss + noise_nn,
+            tc_n,
+            cb * cb * cc - 2.0 * u * cb * tc + u * u * tt + noise_nn,
+        )
+        if k + 1 == grid[len(rows)]:
+            rows.append((ss / ((k + 1) * (k + 1)), ee, cc))
+    theta_bar, embedded, classical = np.array(rows).T
+    return {"theta_bar": theta_bar, "embedded": embedded, "classical": classical}

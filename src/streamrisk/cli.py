@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -34,8 +33,6 @@ from .experiments import (
 from .schedules import StepSchedule
 from .svgplot import loglog_plot, scatter_plot
 from .tables import write_csv
-
-THREADS_ENV = "STREAMRISK_THREADS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1)
         p.set_defaults(handler=handler)
     return parser
 
@@ -89,20 +86,6 @@ def main(argv=None) -> int:
     except (RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"threads must be >= 1, got {n}")
-    return n
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -204,7 +187,7 @@ def _theory_first_order(key: str, oracle, schedule: StepSchedule, n: int):
 
 def _cmd_rates(args) -> int:
     cfg = _load_config(args)
-    result = run_experiment(cfg, threads=_threads(args))
+    result = run_experiment(cfg, threads=args.threads)
     out = _out_dir(args)
     comments = ["streamrisk rates; " + config_summary(cfg)]
     keys = list(cfg.variants) + ["theta_bar"]
@@ -244,7 +227,7 @@ def _cmd_clt(args) -> int:
     cfg = _load_config(args)
     if cfg.replicates < 30:
         raise ConfigError(f"replicates >= 30 required for clt, got {cfg.replicates}")
-    result = run_experiment(cfg, threads=_threads(args))
+    result = run_experiment(cfg, threads=args.threads)
     out = _out_dir(args)
     comments = ["streamrisk clt; " + config_summary(cfg)]
     oracle = result.oracle
@@ -299,7 +282,7 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args)
     if len(cfg.variants) < 2:
         raise ConfigError("compare requires at least 2 variants in the config")
-    result = run_experiment(cfg, threads=_threads(args))
+    result = run_experiment(cfg, threads=args.threads)
     out = _out_dir(args)
     report = compare_variants(result)
     rows = []

@@ -119,15 +119,7 @@ def run_stream(
     ``(n, theta, theta_bar, sq_embedded, sq_classical, sq_bardou)`` captured
     right after the counter reaches a checkpoint value.
     """
-    if checkpoints is None:
-        for i, x in enumerate(observations):
-            try:
-                step(state, x)
-            except ValueError as exc:
-                raise ValueError(f"observation {i}: {exc}") from exc
-        return state
-
-    wanted = sorted({int(c) for c in checkpoints})
+    wanted = sorted({int(c) for c in checkpoints or ()})
     rows: list[TraceRow] = []
     pos = 0
     for i, x in enumerate(observations):
@@ -136,15 +128,7 @@ def run_stream(
         except ValueError as exc:
             raise ValueError(f"observation {i}: {exc}") from exc
         if pos < len(wanted) and state.n == wanted[pos]:
-            rows.append(
-                (
-                    state.n,
-                    state.theta,
-                    state.theta_bar,
-                    state.sq_embedded,
-                    state.sq_classical,
-                    state.sq_bardou,
-                )
-            )
+            rows.append((state.n, state.theta, state.theta_bar,
+                         state.sq_embedded, state.sq_classical, state.sq_bardou))
             pos += 1
-    return state, rows
+    return state if checkpoints is None else (state, rows)

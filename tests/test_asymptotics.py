@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from streamrisk.asymptotics import (
     clt_covariance_fast,
     clt_variance_slow,
     embedded_remainder_exponent,
+    finite_n_mse,
     mse_bound_averaged_quantile,
     mse_bound_embedded,
     report,
@@ -22,6 +24,7 @@ from streamrisk.asymptotics import (
     variance_comparison,
 )
 from streamrisk.distributions import Exponential, Pareto, RiskOracle, Uniform, oracle
+from streamrisk.experiments import fit_rate
 from streamrisk.schedules import StepSchedule
 
 UNIFORM_V = Fraction(7, 24) - Fraction(9, 64)  # 29/192
@@ -163,25 +166,6 @@ class TestVarianceComparison:
             variance_comparison(UNIFORM_ORACLE, 0.5, 1.0)
 
 
-def _random_admissible_oracles(count, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        alpha = rng.uniform(0.05, 0.95)
-        theta = rng.uniform(0.1, 4.0)
-        vartheta = theta * rng.uniform(1.01, 3.0)
-        f = rng.uniform(0.05, 2.0)
-        v = rng.uniform(0.01, 10.0)
-        b1 = rng.uniform(0.51, 1.5)
-        o = synthetic(alpha=alpha, theta=theta, vartheta=vartheta, density=f, v=v)
-        try:
-            clt_covariance_fast(o, b1)
-        except ValueError:
-            continue
-        out.append((o, b1))
-    return out
-
-
 class TestSigmaFromGenerator:
     def test_identity_at_b1_one(self):
         sigma = sigma_from_generator(UNIFORM_ORACLE, 1.0)
@@ -203,16 +187,16 @@ class TestSigmaFromGenerator:
         with pytest.raises(ValueError):
             sigma_from_generator(UNIFORM_ORACLE, 0.5)
 
-    def test_two_route_s22_agreement_random_inputs(self):
-        for o, b1 in _random_admissible_oracles(10, seed=2024):
+    def test_two_route_s22_agreement_random_inputs(self, random_admissible):
+        for o, b1 in random_admissible(10, seed=2024):
             direct = clt_covariance_fast(o, b1)[1, 1]
             rescaled = b1 * sigma_from_generator(o, b1)[1, 1]
             assert abs(direct - rescaled) <= 1e-12 * max(abs(direct), 1.0)
 
 
 class TestTwoRouteVerdicts:
-    def test_threshold_route_matches_variance_route(self):
-        for o, b1 in _random_admissible_oracles(20, seed=7):
+    def test_threshold_route_matches_variance_route(self, random_admissible):
+        for o, b1 in random_admissible(20, seed=7):
             rep = variance_comparison(o, b1, 1.0)
             threshold_route = (
                 VERDICT_EMBEDDED if b1 < rep.b1_threshold else VERDICT_COMPETITOR
@@ -237,6 +221,84 @@ class TestReport:
         assert rep.s2 is None and rep.c_alpha_b1 is None
         assert rep.sq_var_slow == pytest.approx(float(UNIFORM_V / (2 * Fraction(1, 4))), rel=1e-14)
 
-    def test_c_alpha_positive_whenever_admissible(self):
-        for o, b1 in _random_admissible_oracles(10, seed=31):
+    def test_c_alpha_positive_whenever_admissible(self, random_admissible):
+        for o, b1 in random_admissible(10, seed=31):
             assert c_alpha_b1(o, b1) > 0
+
+
+def _dense_finite_n_mse(o, sched, n_grid):
+    """Reference for finite_n_mse: the covariance of (t, s, e, c) iterated as
+    dense matrices, P <- A P A^T + L Q L^T, from the warm start P = 0."""
+    alpha, f = o.alpha, o.density_at_quantile
+    g = o.theta_alpha * f / (1.0 - alpha)
+    m = alpha * (1.0 - alpha)
+    q = np.array([[m, m * o.vartheta_alpha], [m * o.vartheta_alpha, o.v_alpha]])
+    p = np.zeros((4, 4))
+    out = []
+    for k in range(max(n_grid)):
+        a, b = sched.gain_a(max(k, 1)), sched.gain_b(k)
+        ca, cb, bn = 1.0 - a * f, 1.0 - b, b / (1.0 - alpha)
+        # before the first update theta_bar is theta itself
+        emb = [-b * g, 0.0, cb, 0.0] if k == 0 else [0.0, -b * g / k, cb, 0.0]
+        big_a = np.array([[ca, 0, 0, 0], [ca, 1, 0, 0], emb, [-b * g, 0, 0, cb]])
+        big_l = np.array([[a, 0.0], [a, 0.0], [0.0, bn], [0.0, bn]])
+        p = big_a @ p @ big_a.T + big_l @ q @ big_l.T
+        if k + 1 in n_grid:
+            out.append((p[1, 1] / (k + 1) ** 2, p[2, 2], p[3, 3]))
+    return np.array(out).T
+
+
+SLOW_SCHEDULE = StepSchedule(a1=0.7, a_exp=0.6, b1=1.0, b_exp=0.75)
+FAST_SCHEDULE = StepSchedule(a1=1.0, a_exp=2 / 3, b1=1.0, b_exp=1.0)
+HEAVY_SCHEDULE = StepSchedule(a1=1.0, a_exp=2 / 3, b1=0.55, b_exp=1.0)
+EXPONENTIAL_ORACLE = oracle(Exponential(1.0), 0.9)
+PARETO_ORACLE = oracle(Pareto(1.0, 2.2), 0.9)
+GRID_1E3_1E6 = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
+DECADES = (10**4, 10**5, 10**6)
+
+
+@functools.cache
+def _fast_mse(o, grid):
+    return finite_n_mse(o, FAST_SCHEDULE, grid)
+
+
+class TestFiniteNMse:
+    @pytest.mark.parametrize(
+        "o", [UNIFORM_ORACLE, EXPONENTIAL_ORACLE, PARETO_ORACLE], ids=["uniform", "exp", "pareto"]
+    )
+    @pytest.mark.parametrize(
+        "sched", [SLOW_SCHEDULE, HEAVY_SCHEDULE, FAST_SCHEDULE], ids=["slow", "fast-b1-0.55", "fast"]
+    )
+    def test_matches_dense_reference(self, o, sched):
+        grid = (1, 2, 3, 17, 200)
+        got = finite_n_mse(o, sched, grid)
+        want = _dense_finite_n_mse(o, sched, grid)
+        for row, key in zip(want, ("theta_bar", "embedded", "classical")):
+            assert np.allclose(got[key], row, rtol=1e-12, atol=0.0), key
+
+    def test_averaged_quantile_figure(self):
+        mse = _fast_mse(UNIFORM_ORACLE, DECADES)
+        assert 1e6 * mse["theta_bar"][-1] == pytest.approx(0.25127, abs=5e-6)
+
+    def test_fast_regime_slope_figure(self):
+        fit = fit_rate(zip(GRID_1E3_1E6, _fast_mse(EXPONENTIAL_ORACLE, GRID_1E3_1E6)["embedded"]))
+        assert fit.slope == pytest.approx(-1.1300, abs=5e-5)
+
+    def test_heavy_tail_ratio_figures(self):
+        mse = finite_n_mse(PARETO_ORACLE, HEAVY_SCHEDULE, DECADES)
+        ratio = mse["embedded"] / mse["classical"]
+        assert ratio == pytest.approx([1.1876, 1.2756, 1.2526], abs=5e-5)
+
+    def test_fast_regime_approaches_clt_constants(self):
+        for o, grid in ((UNIFORM_ORACLE, DECADES), (EXPONENTIAL_ORACLE, GRID_1E3_1E6)):
+            mse = _fast_mse(o, grid)
+            s2 = clt_covariance_fast(o, FAST_SCHEDULE.b1)
+            for key, limit in (("theta_bar", s2[0, 0]), ("embedded", s2[1, 1])):
+                gaps = [abs(n * mse[key][grid.index(n)] / limit - 1.0) for n in DECADES]
+                # each decade shrinks the gap to the CLT constant, by about 10^(-1/3)
+                assert gaps[1] < 0.6 * gaps[0] and gaps[2] < 0.6 * gaps[1], (key, gaps)
+
+    @pytest.mark.parametrize("grid", [(), (0, 5), (5, 5), (10, 3)])
+    def test_grid_must_be_increasing_positive(self, grid):
+        with pytest.raises(ValueError):
+            finite_n_mse(UNIFORM_ORACLE, FAST_SCHEDULE, grid)

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from streamrisk.cli import main
@@ -96,12 +94,18 @@ class TestRatesCommand:
         assert (out1 / "ratefit.csv").read_bytes() == (out2 / "ratefit.csv").read_bytes()
         assert (out1 / "rates.svg").read_bytes() == (out2 / "rates.svg").read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, expect_thread_warning):
         cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)
         out1, out8 = tmp_path / "t1", tmp_path / "t8"
         assert main(["rates", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-        assert main(["rates", "--config", str(cfg), "--out", str(out8), "--threads", "8"]) == 0
+        with expect_thread_warning(8, 2):  # GOLDEN_CFG has 2 replicates
+            assert main(["rates", "--config", str(cfg), "--out", str(out8), "--threads", "8"]) == 0
         assert (out1 / "mse.csv").read_bytes() == (out8 / "mse.csv").read_bytes()
+
+    def test_zero_threads_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)
+        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
+        assert "threads must be >= 1, got 0" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)
@@ -226,16 +230,6 @@ class TestCsvRoundTrip:
         p.write_text(render_csv(["x"], [[1.0]], comments=["hello world"]))
         comments, _, _ = read_csv(p)
         assert comments == ["hello world"]
-
-
-class TestThreadsEnv:
-    def test_env_variable_used_as_default(self, tmp_path, monkeypatch):
-        cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)
-        monkeypatch.setenv("STREAMRISK_THREADS", "2")
-        out_env = tmp_path / "env"
-        assert main(["rates", "--config", str(cfg), "--out", str(out_env)]) == 0
-        monkeypatch.setenv("STREAMRISK_THREADS", "not-a-number")
-        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
 
 
 def test_usage_error_exits_2():

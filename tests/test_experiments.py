@@ -1,7 +1,6 @@
 import math
 import os
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from streamrisk.estimators import init, step
 from streamrisk.experiments import (
     ExperimentConfig,
     ExperimentResult,
-    RateFit,
     _simulate_block,
     compare_variants,
     empirical_clt_cov,
@@ -90,10 +88,11 @@ class TestRunExperiment:
         assert set(res.estimates) == {"theta", "theta_bar", "embedded", "classical", "bardou"}
         assert res.estimates["theta"].shape == (2, 8)
 
-    def test_thread_count_does_not_change_values(self):
+    def test_thread_count_does_not_change_values(self, expect_thread_warning):
         cfg = small_config(replicates=13, n_grid=(7, 29, 301))
         res1 = run_experiment(cfg, threads=1)
-        res8 = run_experiment(cfg, threads=8)
+        with expect_thread_warning(8, cfg.replicates):
+            res8 = run_experiment(cfg, threads=8)
         for key in res1.estimates:
             assert np.array_equal(res1.estimates[key], res8.estimates[key])
 
@@ -162,14 +161,12 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"non-finite draw at replicate \d+, step \d+"):
             _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.5), rngs, 0)
 
-    def test_more_threads_than_cpus_warns(self):
+    def test_more_threads_than_cpus_warns(self, expect_thread_warning):
         threads = os.cpu_count() + 1
         cfg = small_config(replicates=max(8, threads))
-        with pytest.warns(RuntimeWarning, match="threads on"):
-            run_experiment(cfg, threads=threads)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_experiment(cfg, threads=1)
+        for t in (threads, 1):  # a warning with more threads than CPUs, none with one
+            with expect_thread_warning(t, cfg.replicates):
+                run_experiment(cfg, threads=t)
 
     def test_zero_draw_is_read_as_zero_draw_constant(self):
         # A u = 0 draw maps to -inf under the Gaussian inverse cdf; the engine
