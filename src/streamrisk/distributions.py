@@ -403,12 +403,13 @@ def mend_zero_draws(model: DistributionModel, u, x) -> np.ndarray:
 
 
 def sample(model: DistributionModel, rng: np.random.Generator) -> float:
-    """One draw via inverse-cdf transform of ``rng.random()``."""
-    u = rng.random()
-    x = float(model.quantile(u))
-    if not math.isfinite(x):
-        x = float(mend_zero_draws(model, u, x))
-    return x
+    """One draw via inverse-cdf transform of ``rng.random()``.
+
+    The transform runs on a one-element array, as in :func:`sample_array` and
+    the replicate engine: numpy's array loops can round differently from
+    Python's float arithmetic (``**`` for the Pareto differs in about 5% of
+    draws by one ulp on CPUs where numpy vectorises ``power``)."""
+    return float(sample_array(model, rng, 1)[0])
 
 
 def sample_array(model: DistributionModel, rng: np.random.Generator, size) -> np.ndarray:

@@ -117,9 +117,14 @@ def run_stream(
     Returns the final state; when ``checkpoints`` is given, returns
     ``(state, rows)`` where each row is
     ``(n, theta, theta_bar, sq_embedded, sq_classical, sq_bardou)`` captured
-    right after the counter reaches a checkpoint value.
+    right after the counter reaches a checkpoint value.  A checkpoint at or
+    below the counter at the call can never be reached and raises ValueError.
     """
     wanted = sorted({int(c) for c in checkpoints or ()})
+    if wanted and wanted[0] <= state.n:
+        raise ValueError(
+            f"checkpoint {wanted[0]} is not after the state's counter n = {state.n}"
+        )
     rows: list[TraceRow] = []
     pos = 0
     for i, x in enumerate(observations):

@@ -1,21 +1,33 @@
 """Monte-Carlo harness: replicate streams, MSE curves, log-log rate fits,
 empirical CLT covariances, and paired variant comparison.
 
-Replicates run vectorized (one numpy lane per replicate) with the arithmetic
-mirroring :func:`streamrisk.estimators.step` operation for operation, so a
-replicate's lane is bit-identical to running its stream through the scalar
-recursion.  Each replicate owns the substream (master_seed, experiment_id,
-replicate); results are assembled by replicate index, which makes thread count
-and completion order irrelevant to the output.
+Replicates advance in a small C kernel (``_kernel.c``), compiled with the
+interpreter's C compiler on first use and loaded through ``ctypes``, which
+releases the GIL, so thread blocks run in parallel.  The kernel walks one
+replicate at a time through a chunk of steps with the arithmetic of
+:func:`streamrisk.estimators.step`, operation for operation, so a replicate is
+bit-identical to running its stream through the scalar recursion.  When no
+compiler works, a numpy engine (one lane per replicate, the same arithmetic as
+ufuncs) gives the same results more slowly, after one ``RuntimeWarning``.
+Each replicate owns the substream (master_seed, experiment_id, replicate);
+results are assembled by replicate index, which makes thread count and
+completion order irrelevant to the output.
 """
 
 from __future__ import annotations
 
+import bisect
+import ctypes
 import math
 import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,12 +39,19 @@ from .schedules import StepSchedule
 VARIANT_KEYS = ("embedded", "classical", "bardou")
 ESTIMATOR_KEYS = ("theta", "theta_bar") + VARIANT_KEYS
 
-# Draws are made and transformed a chunk of steps at a time, as (steps,
-# replicates) float64 arrays of which a few are live at once.  The chunk is cut
-# so that one such array, counted over all replicates of the experiment (every
-# thread block together), holds at most _CHUNK_DOUBLES; the floor, reached above
-# 8192 replicates, keeps per-chunk Python costs amortised.  Results do not
-# depend on the chunk length.
+# The kernel advances sub-blocks of _KERNEL_LANES replicates through chunks of
+# _KERNEL_STEPS steps.  A sub-block's draws are one (lanes, steps) array, drawn
+# and transformed just before the kernel reads it, so each thread holds a few
+# such arrays (1 MiB each) whatever the replicate count.
+_KERNEL_LANES = 32
+_KERNEL_STEPS = 4096
+
+# The numpy engine draws and transforms a chunk of steps for all of a thread's
+# replicates at once, as (replicates, steps) float64 arrays of which a few are
+# live at once.  The chunk is cut so that one such array, counted over all
+# replicates of the experiment (every thread block together), holds at most
+# _CHUNK_DOUBLES; the floor, reached above 8192 replicates, keeps per-chunk
+# Python costs amortised.  Results do not depend on the chunk length.
 _CHUNK_DOUBLES = 2**21
 _CHUNK_MIN = 256
 _CHUNK_MAX = 4096
@@ -40,6 +59,47 @@ _CHUNK_MAX = 4096
 
 def _chunk_steps(replicates: int) -> int:
     return max(_CHUNK_MIN, min(_CHUNK_MAX, _CHUNK_DOUBLES // replicates))
+
+
+_UNLOADED = object()
+_kernel = _UNLOADED
+
+
+def _load_kernel():
+    """The compiled kernel's ``advance`` function, or None when it cannot be
+    built.  It is built once per process, on first use and never at import."""
+    global _kernel
+    if _kernel is _UNLOADED:
+        _kernel = _build_kernel()
+    return _kernel
+
+
+def _build_kernel():
+    # A private directory per process: no cache to invalidate or share.  The
+    # loaded library stays mapped after the directory is removed.
+    source = Path(__file__).with_name("_kernel.c")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+        lib = os.path.join(tmp, "_kernel.so")
+        try:
+            subprocess.run(
+                [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", lib, str(source)],
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            advance = ctypes.CDLL(lib).advance
+        except (OSError, subprocess.SubprocessError) as exc:
+            warnings.warn(
+                f"replicate kernel not built ({exc}); running the slower numpy engine",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            return None
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    advance.argtypes = [i64, i64, i64, ptr, ptr, ptr, dbl, dbl, ptr, i64, i64, ptr, ptr]
+    advance.restype = None
+    return advance
 
 
 @dataclass(frozen=True)
@@ -155,6 +215,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             stacklevel=2,
         )
     bounds = _block_bounds(r_total, workers)
+    _load_kernel()  # build it here, not in racing worker threads
 
     def work(lo: int, hi: int) -> None:
         rngs = [
@@ -191,36 +252,104 @@ def _simulate_block(
     rngs: list[np.random.Generator],
     replicate_offset: int,
 ) -> dict[str, np.ndarray]:
-    """Advance a block of replicates to max(n_grid).
+    """Advance a block of replicates to max(n_grid) with the compiled kernel,
+    or with the numpy engine when the kernel cannot be built.
 
-    The update sequence below must stay in lockstep with estimators.step:
-    same operations in the same order on each lane.
+    Both engines must stay in lockstep with estimators.step: same operations
+    in the same order on each lane.
     """
     r_block = len(rngs)
+    if config.warm_start:
+        theta = np.full(r_block, float(oracle.theta_alpha))
+        sq0 = np.full(r_block, float(oracle.vartheta_alpha))
+    else:
+        u0 = np.array([rng.random() for rng in rngs])
+        theta = np.asarray(config.model.quantile(u0), dtype=np.float64)
+        if not np.isfinite(theta).all():
+            theta = distributions.mend_zero_draws(config.model, u0, theta)
+        sq0 = theta / (1.0 - config.alpha)
+    # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
+    state = np.stack([theta, theta, sq0, sq0, sq0])
+    out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_block))
+    kernel = _load_kernel()
+    if kernel is None:
+        _advance_numpy(config, rngs, replicate_offset, state, out)
+    else:
+        _advance_kernel(kernel, config, rngs, replicate_offset, state, out)
+    return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
+
+
+def _draws(model: DistributionModel, rngs, u: np.ndarray, first_replicate: int, n: int) -> np.ndarray:
+    """Fill row j of ``u`` (lanes, steps) with the next draws of ``rngs[j]``
+    and return their transform as a C-contiguous array; steps count from
+    ``n + 1``."""
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    x = np.ascontiguousarray(model.quantile(u), dtype=np.float64)
+    if x.shape != u.shape:  # the kernel reads x through a raw pointer
+        raise ValueError(f"quantile of {u.shape} draws returned shape {x.shape}")
+    if not np.isfinite(x).all():
+        x = distributions.mend_zero_draws(model, u, x)
+        bad = np.argwhere(~np.isfinite(x))
+        if bad.size:
+            raise RuntimeError(
+                f"non-finite draw at replicate {first_replicate + int(bad[0, 0])}, "
+                f"step {n + int(bad[0, 1]) + 1}"
+            )
+    return x
+
+
+def _check_finite(state: np.ndarray, replicate_offset: int, n: int) -> None:
+    if not np.isfinite(state).all():
+        k, r = np.argwhere(~np.isfinite(state))[0]
+        raise RuntimeError(
+            f"estimator {ESTIMATOR_KEYS[k]!r} became non-finite in replicate "
+            f"{replicate_offset + int(r)} by step {n}"
+        )
+
+
+def _advance_kernel(kernel, config, rngs, replicate_offset, state, out) -> None:
+    """Advance ``state`` (5, lanes) in chunks of _KERNEL_STEPS steps; within a
+    chunk, each sub-block of _KERNEL_LANES lanes is drawn and then walked
+    through the chunk by the kernel, which writes the checkpoints into ``out``."""
+    sched, model, grid = config.schedule, config.model, config.n_grid
+    r_block = len(rngs)
+    lanes = min(_KERNEL_LANES, r_block)
+    draw_buf = np.empty(lanes * _KERNEL_STEPS)
+    gain_a = np.empty(_KERNEL_STEPS)
+    gain_b = np.empty(_KERNEL_STEPS)
+    inv1ma = 1.0 / (1.0 - config.alpha)
+    n = grid_pos = 0
+    while n < grid[-1]:
+        span = min(_KERNEL_STEPS, grid[-1] - n)
+        gain_a[:span] = [sched.gain_a(k if k >= 1 else 1) for k in range(n, n + span)]
+        gain_b[:span] = [sched.gain_b(k) for k in range(n, n + span)]
+        stop = bisect.bisect_right(grid, n + span, grid_pos)
+        steps = np.array([g - n for g in grid[grid_pos:stop]], dtype=np.int64)
+        snap = out.ctypes.data + 8 * grid_pos * out.shape[1] * r_block
+        for lo in range(0, r_block, lanes):
+            hi = min(lo + lanes, r_block)
+            u = draw_buf[: (hi - lo) * span].reshape(hi - lo, span)
+            x = _draws(model, rngs[lo:hi], u, replicate_offset + lo, n)
+            kernel(hi - lo, span, n, x.ctypes.data, gain_a.ctypes.data, gain_b.ctypes.data,
+                   config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_block,
+                   len(steps), steps.ctypes.data, snap + 8 * lo)
+        n += span
+        grid_pos = stop
+        _check_finite(state, replicate_offset, n)
+
+
+def _advance_numpy(config, rngs, replicate_offset, state, out) -> None:
+    """The fallback engine: one numpy lane per replicate, all lanes per ufunc
+    call, the arithmetic of estimators.step spelled as ufuncs."""
     model = config.model
     sched = config.schedule
     alpha = config.alpha
     inv1ma = 1.0 / (1.0 - alpha)
     grid = config.n_grid
     n_total = grid[-1]
-
-    if config.warm_start:
-        theta = np.full(r_block, float(oracle.theta_alpha))
-        sq0 = np.full(r_block, float(oracle.vartheta_alpha))
-    else:
-        u0 = np.array([rng.random() for rng in rngs])
-        x0 = np.asarray(model.quantile(u0), dtype=np.float64)
-        if not np.isfinite(x0).all():
-            x0 = distributions.mend_zero_draws(model, u0, x0)
-        theta = x0.copy()
-        sq0 = x0 / (1.0 - alpha)
-    theta_bar = theta.copy()
-    sq_e = sq0.copy()
-    sq_c = sq0.copy()
-    sq_b = sq0.copy()
-
-    out = {key: np.empty((len(grid), r_block)) for key in ESTIMATOR_KEYS}
-    live = {"theta": theta, "theta_bar": theta_bar, "embedded": sq_e, "classical": sq_c, "bardou": sq_b}
+    r_block = len(rngs)
+    theta, theta_bar, sq_e, sq_c, sq_b = state
 
     tmp = np.empty(r_block)
     tmp2 = np.empty(r_block)
@@ -234,18 +363,9 @@ def _simulate_block(
     grid_pos = 0
     while n < n_total:
         span = min(chunk, n_total - n)
-        u = np.empty((span, r_block))
-        for j, rng in enumerate(rngs):
-            u[:, j] = rng.random(span)
-        x_chunk = np.asarray(model.quantile(u), dtype=np.float64)
-        if not np.isfinite(x_chunk).all():
-            x_chunk = distributions.mend_zero_draws(model, u, x_chunk)
-            bad = np.argwhere(~np.isfinite(x_chunk))
-            if bad.size:
-                raise RuntimeError(
-                    f"non-finite draw at replicate {replicate_offset + int(bad[0, 1])}, "
-                    f"step {n + int(bad[0, 0]) + 1}"
-                )
+        # Drawn lane-major like the kernel's, then copied step-major, so that
+        # each step's ufuncs read one contiguous row.
+        x_chunk = _draws(model, rngs, np.empty((r_block, span)), replicate_offset, n).T.copy()
         for t in range(span):
             x = x_chunk[t]
             a_n = sched.gain_a(n if n >= 1 else 1)
@@ -290,17 +410,9 @@ def _simulate_block(
 
             n += 1
             if grid_pos < len(grid) and n == grid[grid_pos]:
-                for key, arr in live.items():
-                    out[key][grid_pos] = arr
+                out[grid_pos] = state
                 grid_pos += 1
-        for key, arr in live.items():
-            if not np.isfinite(arr).all():
-                bad_r = int(np.argwhere(~np.isfinite(arr))[0][0])
-                raise RuntimeError(
-                    f"estimator {key!r} became non-finite in replicate "
-                    f"{replicate_offset + bad_r} by step {n}"
-                )
-    return out
+        _check_finite(state, replicate_offset, n)
 
 
 def fit_rate(points: Iterable[tuple[float, float]]) -> RateFit:

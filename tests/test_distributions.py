@@ -131,11 +131,11 @@ class TestSampling:
         draws = sample_array(Pareto(1.0, 3.0), substream(123, 0, 1), 10**6)
         assert abs(draws.mean() - 1.5) < 0.01
 
-    def test_block_draws_match_scalar_draws(self):
-        m = Gaussian(1.0, 2.0)
-        block = sample_array(m, substream(99, 3, 5), 64)
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=repr)
+    def test_block_draws_match_scalar_draws(self, m):
+        block = sample_array(m, substream(99, 3, 5), 2000)
         rng = substream(99, 3, 5)
-        singles = np.array([sample(m, rng) for _ in range(64)])
+        singles = np.array([sample(m, rng) for _ in range(2000)])
         assert np.array_equal(block, singles)
 
     def test_chunked_generation_matches_unchunked(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import streamrisk as sr
 from streamrisk.distributions import sample, substream
 from streamrisk.estimators import init, run_stream, step
-from streamrisk.experiments import ExperimentConfig, _chunk_steps, _simulate_block, run_experiment
+from streamrisk import experiments as ex
+from streamrisk.experiments import ExperimentConfig, _simulate_block, run_experiment
 from streamrisk.schedules import StepSchedule
 
 FAST = StepSchedule(a1=1.0, a_exp=2 / 3, b1=1.0, b_exp=1.0)
@@ -113,6 +115,14 @@ def test_run_stream_trace_rows():
     assert final.n == 4
 
 
+@pytest.mark.parametrize("consumed, checkpoints, bad", [(0, [0, 1, 2], 0), (5, [3, 6, 7], 3)])
+def test_run_stream_rejects_checkpoint_not_after_counter(consumed, checkpoints, bad):
+    state = run_stream(init(0.5, FAST, 0.0, 0.0), [0.5] * consumed)
+    with pytest.raises(ValueError, match=rf"checkpoint {bad} .* counter n = {consumed}"):
+        run_stream(state, [0.1, 0.9, 0.3], checkpoints=checkpoints)
+    assert state.n == consumed
+
+
 @given(
     xs=st.lists(st.floats(-10, 10), min_size=1, max_size=60),
     alpha=st.floats(0.05, 0.95),
@@ -172,11 +182,32 @@ def test_determinism_same_seed_same_state():
     assert run() == run()
 
 
-# Wide enough that the memory budget cuts chunks shorter than 4096 steps; its
-# checkpoints sit on and next to the chunk boundaries.
-_WIDE = 4096
-_WIDE_CHUNK = _chunk_steps(_WIDE)
-_WIDE_GRID = (_WIDE_CHUNK - 1, _WIDE_CHUNK, _WIDE_CHUNK + 1, 2 * _WIDE_CHUNK, 2 * _WIDE_CHUNK + 3)
+# One lane past a kernel sub-block boundary, and wide enough that the numpy
+# engine's memory budget cuts its chunks shorter than the kernel's; the
+# checkpoints sit on and next to both engines' chunk boundaries.
+_WIDE = 128 * ex._KERNEL_LANES + 1
+_NUMPY_CHUNK = ex._chunk_steps(_WIDE)
+_KERNEL_CHUNK = ex._KERNEL_STEPS
+_WIDE_GRID = (
+    _NUMPY_CHUNK - 1, _NUMPY_CHUNK, _NUMPY_CHUNK + 1,
+    _KERNEL_CHUNK - 1, _KERNEL_CHUNK, _KERNEL_CHUNK + 1, 2 * _KERNEL_CHUNK, 2 * _KERNEL_CHUNK + 3,
+)
+
+
+def _scalar_rows(model, alpha, sched, oracle, warm, seed, lane, n_grid):
+    """The five estimators of one replicate at each checkpoint, by estimators.step."""
+    rng = substream(seed, 0, lane)
+    if warm:
+        state = init(alpha, sched, oracle.theta_alpha, oracle.vartheta_alpha)
+    else:
+        x0 = sample(model, rng)
+        state = init(alpha, sched, x0, x0 / (1.0 - alpha))
+    rows = []
+    for n_target in n_grid:
+        while state.n < n_target:
+            step(state, sample(model, rng))
+        rows.append((state.theta, state.theta_bar, state.sq_embedded, state.sq_classical, state.sq_bardou))
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -188,7 +219,7 @@ _WIDE_GRID = (_WIDE_CHUNK - 1, _WIDE_CHUNK, _WIDE_CHUNK + 1, 2 * _WIDE_CHUNK, 2 
     ]
     + [pytest.param(sr.Gaussian(0.0, 1.0), False, _WIDE, _WIDE_GRID, id="wide-Gaussian-False")],
 )
-def test_vectorized_engine_matches_scalar_stream(model, warm, replicates, n_grid):
+def test_vectorized_engine_matches_scalar_stream(engine, model, warm, replicates, n_grid):
     sched = StepSchedule(a1=1.0, a_exp=0.6, b1=0.8, b_exp=0.75)
     cfg = ExperimentConfig(
         model=model,
@@ -202,21 +233,53 @@ def test_vectorized_engine_matches_scalar_stream(model, warm, replicates, n_grid
     oracle = sr.oracle(model, cfg.alpha)
     rngs = [substream(314, 0, r) for r in range(replicates)]
     block = _simulate_block(cfg, oracle, rngs, 0)
-    for r in sorted({0, 1, replicates // 2, replicates - 1}):
-        rng = substream(314, 0, r)
-        if warm:
-            state = init(cfg.alpha, sched, oracle.theta_alpha, oracle.vartheta_alpha)
-        else:
-            x0 = sample(model, rng)
-            state = init(cfg.alpha, sched, x0, x0 / (1.0 - cfg.alpha))
-        for k, n_target in enumerate(cfg.n_grid):
-            while state.n < n_target:
-                step(state, sample(model, rng))
-            assert block["theta"][k, r] == state.theta
-            assert block["theta_bar"][k, r] == state.theta_bar
-            assert block["embedded"][k, r] == state.sq_embedded
-            assert block["classical"][k, r] == state.sq_classical
-            assert block["bardou"][k, r] == state.sq_bardou
+    lanes = {0, 1, ex._KERNEL_LANES - 1, ex._KERNEL_LANES, replicates // 2, replicates - 1}
+    for r in sorted(lane for lane in lanes if lane < replicates):
+        rows = _scalar_rows(model, cfg.alpha, sched, oracle, warm, 314, r, n_grid)
+        for k, row in enumerate(rows):
+            assert tuple(block[key][k, r] for key in ex.ESTIMATOR_KEYS) == row
+
+
+@st.composite
+def _engine_cases(draw):
+    a_exp = draw(st.floats(0.51, 0.95))
+    if draw(st.booleans()):  # the fast regime, b1 near its CLT bound 1/2
+        b_exp, b1 = 1.0, draw(st.floats(0.5, 0.6))
+    else:
+        b_exp, b1 = draw(st.floats(a_exp + 0.01, 1.0)), draw(st.floats(0.1, 2.0))
+    sched = StepSchedule(a1=draw(st.floats(0.1, 3.0)), a_exp=a_exp, b1=b1, b_exp=b_exp)
+    cfg = ExperimentConfig(
+        model=draw(st.sampled_from(
+            [sr.Uniform(-1, 2), sr.Exponential(0.5), sr.Pareto(1.0, 2.2), sr.Gaussian(0.0, 1.0)])),
+        alpha=draw(st.floats(0.05, 0.95)),
+        schedule=sched,
+        n_grid=sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=5))),
+        replicates=draw(st.integers(2, ex._KERNEL_LANES + 8)),
+        master_seed=draw(st.integers(0, 2**32)),
+        warm_start=draw(st.booleans()),
+    )
+    return cfg
+
+
+@given(cfg=_engine_cases())
+@settings(max_examples=60, deadline=None)
+def test_engines_equal_scalar_recursion_exactly(cfg):
+    oracle = sr.oracle(cfg.model, cfg.alpha)
+
+    def block():
+        rngs = [substream(cfg.master_seed, 0, r) for r in range(cfg.replicates)]
+        out = _simulate_block(cfg, oracle, rngs, 0)
+        return np.stack([out[key] for key in ex.ESTIMATOR_KEYS], axis=-1)
+
+    kernel = block()
+    with mock.patch.object(ex, "_load_kernel", lambda: None):
+        numpy_engine = block()
+    scalar = np.array([
+        _scalar_rows(cfg.model, cfg.alpha, cfg.schedule, oracle, cfg.warm_start, cfg.master_seed, r, cfg.n_grid)
+        for r in range(cfg.replicates)
+    ]).transpose(1, 0, 2)
+    assert np.array_equal(numpy_engine, scalar)
+    assert np.array_equal(kernel, scalar)
 
 
 def test_quantile_consistency_desk_scale():

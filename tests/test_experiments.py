@@ -1,11 +1,14 @@
 import math
 import os
+import shlex
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import streamrisk as sr
+from streamrisk import experiments as ex
 from streamrisk.distributions import ZERO_DRAW, sample, substream
 from streamrisk.estimators import init, step
 from streamrisk.experiments import (
@@ -201,27 +204,46 @@ class _ZeroAt:
     def __init__(self, rng: np.random.Generator, k: int) -> None:
         self.rng, self.k, self.drawn = rng, k, 0
 
-    def random(self, size=None):
-        u = self.rng.random(1 if size is None else size)
+    def random(self, size=None, out=None):
+        u = self.rng.random(1 if size is None and out is None else size, out=out)
         if self.drawn <= self.k < self.drawn + u.size:
-            u[self.k - self.drawn] = 0.0
+            u.flat[self.k - self.drawn] = 0.0
         self.drawn += u.size
-        return float(u[0]) if size is None else u
+        return float(u[0]) if size is None and out is None else u
 
 
 def test_chunk_memory_stays_within_budget():
-    # 4096 replicates over 1500 steps: a fixed 4096-step chunk would make each
-    # (steps, replicates) draw array 49 MB.  The engine cuts chunks so that one
-    # such array holds at most 2**21 doubles (16 MiB), a few of which are live.
-    budget = 2**21 * 8
-    cfg = small_config(replicates=4096, n_grid=(1500,), warm_start=True)
+    # 4096 replicates through one full kernel chunk and one more step.  The
+    # kernel draws one sub-block (_KERNEL_LANES, _KERNEL_STEPS) at a time, so
+    # the block's traced peak, beyond its generators, is a few sub-block arrays
+    # (draws, transform, its temporaries) whatever the replicate count.
+    budget = ex._KERNEL_LANES * ex._KERNEL_STEPS * 8
+    cfg = small_config(replicates=4096, n_grid=(ex._KERNEL_STEPS + 1,), warm_start=True)
+    oracle = sr.oracle(cfg.model, cfg.alpha)
+    rngs = [substream(cfg.master_seed, 0, r) for r in range(cfg.replicates)]
+    if ex._load_kernel() is None:
+        pytest.skip("the replicate kernel could not be built here")
     tracemalloc.start()
     try:
-        run_experiment(cfg)
+        _simulate_block(cfg, oracle, rngs, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 4 * budget, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_failed_kernel_build_falls_back_to_numpy_engine(monkeypatch):
+    cfg = small_config(replicates=ex._KERNEL_LANES + 3, n_grid=(10, 300))
+    expected = run_experiment(cfg).estimates
+    failing_cc = shlex.join([sys.executable, "-c", "raise SystemExit(1)"])
+    monkeypatch.setattr(ex, "_kernel", ex._UNLOADED)
+    monkeypatch.setattr(ex.sysconfig, "get_config_var", lambda name: failing_cc)
+    with pytest.warns(RuntimeWarning, match="numpy engine") as record:
+        runs = [run_experiment(cfg).estimates for _ in range(2)]
+    assert len(record) == 1 and ex._kernel is None
+    for got in runs:
+        for key in expected:
+            assert np.array_equal(got[key], expected[key])
 
 
 def _fake_result(pairs: np.ndarray, n: int = 1) -> ExperimentResult:
