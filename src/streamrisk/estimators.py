@@ -14,9 +14,10 @@ Indicator conventions are fixed: the quantile update uses the closed event
 The update consuming an observation at pre-update counter ``n`` uses gains
 ``gain_a(max(n, 1))`` and ``gain_b(n)``.
 
-The arithmetic below is written to match, operation for operation, the
-vectorized engine in :mod:`streamrisk.experiments`, so single-stream and
-replicate-block execution are bit-identical.
+The compiled replicate kernel of :mod:`streamrisk.experiments` matches the
+arithmetic below operation for operation, so single-stream and replicate-block
+execution are bit-identical; where the kernel cannot be built, the replicate
+engine folds :func:`run_stream` itself over each replicate.
 """
 
 from __future__ import annotations

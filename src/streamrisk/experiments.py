@@ -7,8 +7,9 @@ releases the GIL, so thread blocks run in parallel.  The kernel walks one
 replicate at a time through a chunk of steps with the arithmetic of
 :func:`streamrisk.estimators.step`, operation for operation, so a replicate is
 bit-identical to running its stream through the scalar recursion.  When no
-compiler works, a numpy engine (one lane per replicate, the same arithmetic as
-ufuncs) gives the same results more slowly, after one ``RuntimeWarning``.
+compiler works, the same chunk loop folds that scalar recursion over each
+replicate in its place, after one ``RuntimeWarning``: the same results, tens
+of times more slowly.
 Each replicate owns the substream (master_seed, experiment_id, replicate);
 results are assembled by replicate index, which makes thread count and
 completion order irrelevant to the output.
@@ -34,6 +35,7 @@ import numpy as np
 
 from . import asymptotics, distributions
 from .distributions import DistributionModel, RiskOracle, substream
+from .estimators import JointEstimatorState, run_stream
 from .schedules import StepSchedule
 
 VARIANT_KEYS = ("embedded", "classical", "bardou")
@@ -45,21 +47,6 @@ ESTIMATOR_KEYS = ("theta", "theta_bar") + VARIANT_KEYS
 # such arrays (1 MiB each) whatever the replicate count.
 _KERNEL_LANES = 32
 _KERNEL_STEPS = 4096
-
-# The numpy engine draws and transforms a chunk of steps for all of a thread's
-# replicates at once, as (replicates, steps) float64 arrays of which a few are
-# live at once.  The chunk is cut so that one such array, counted over all
-# replicates of the experiment (every thread block together), holds at most
-# _CHUNK_DOUBLES; the floor, reached above 8192 replicates, keeps per-chunk
-# Python costs amortised.  Results do not depend on the chunk length.
-_CHUNK_DOUBLES = 2**21
-_CHUNK_MIN = 256
-_CHUNK_MAX = 4096
-
-
-def _chunk_steps(replicates: int) -> int:
-    return max(_CHUNK_MIN, min(_CHUNK_MAX, _CHUNK_DOUBLES // replicates))
-
 
 _UNLOADED = object()
 _kernel = _UNLOADED
@@ -90,8 +77,12 @@ def _build_kernel():
             )
             advance = ctypes.CDLL(lib).advance
         except (OSError, subprocess.SubprocessError) as exc:
+            # The compiler's own message is in its stderr, not in str(exc).
+            detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()[-2000:]
             warnings.warn(
-                f"replicate kernel not built ({exc}); running the slower numpy engine",
+                f"replicate kernel not built ({exc}{': ' + detail if detail else ''}); "
+                "folding the scalar reference estimators.step over each replicate, "
+                "tens of times more slowly",
                 RuntimeWarning,
                 stacklevel=4,
             )
@@ -253,10 +244,9 @@ def _simulate_block(
     replicate_offset: int,
 ) -> dict[str, np.ndarray]:
     """Advance a block of replicates to max(n_grid) with the compiled kernel,
-    or with the numpy engine when the kernel cannot be built.
-
-    Both engines must stay in lockstep with estimators.step: same operations
-    in the same order on each lane.
+    which must stay in lockstep with estimators.step (same operations in the
+    same order on each lane), or with estimators.step itself when the kernel
+    cannot be built.
     """
     r_block = len(rngs)
     if config.warm_start:
@@ -271,11 +261,7 @@ def _simulate_block(
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
     out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_block))
-    kernel = _load_kernel()
-    if kernel is None:
-        _advance_numpy(config, rngs, replicate_offset, state, out)
-    else:
-        _advance_kernel(kernel, config, rngs, replicate_offset, state, out)
+    _advance(_load_kernel(), config, rngs, replicate_offset, state, out)
     return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
 
 
@@ -308,10 +294,11 @@ def _check_finite(state: np.ndarray, replicate_offset: int, n: int) -> None:
         )
 
 
-def _advance_kernel(kernel, config, rngs, replicate_offset, state, out) -> None:
+def _advance(kernel, config, rngs, replicate_offset, state, out) -> None:
     """Advance ``state`` (5, lanes) in chunks of _KERNEL_STEPS steps; within a
     chunk, each sub-block of _KERNEL_LANES lanes is drawn and then walked
-    through the chunk by the kernel, which writes the checkpoints into ``out``."""
+    through the chunk by the kernel, or by estimators.step when ``kernel`` is
+    None, either of which writes the checkpoints into ``out``."""
     sched, model, grid = config.schedule, config.model, config.n_grid
     r_block = len(rngs)
     lanes = min(_KERNEL_LANES, r_block)
@@ -331,88 +318,29 @@ def _advance_kernel(kernel, config, rngs, replicate_offset, state, out) -> None:
             hi = min(lo + lanes, r_block)
             u = draw_buf[: (hi - lo) * span].reshape(hi - lo, span)
             x = _draws(model, rngs[lo:hi], u, replicate_offset + lo, n)
-            kernel(hi - lo, span, n, x.ctypes.data, gain_a.ctypes.data, gain_b.ctypes.data,
-                   config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_block,
-                   len(steps), steps.ctypes.data, snap + 8 * lo)
+            if kernel is None:
+                _fold_scalar(config, x, n, grid[grid_pos:stop], state[:, lo:hi],
+                             out[grid_pos:stop, :, lo:hi])
+            else:
+                kernel(hi - lo, span, n, x.ctypes.data, gain_a.ctypes.data, gain_b.ctypes.data,
+                       config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_block,
+                       len(steps), steps.ctypes.data, snap + 8 * lo)
         n += span
         grid_pos = stop
         _check_finite(state, replicate_offset, n)
 
 
-def _advance_numpy(config, rngs, replicate_offset, state, out) -> None:
-    """The fallback engine: one numpy lane per replicate, all lanes per ufunc
-    call, the arithmetic of estimators.step spelled as ufuncs."""
-    model = config.model
-    sched = config.schedule
-    alpha = config.alpha
-    inv1ma = 1.0 / (1.0 - alpha)
-    grid = config.n_grid
-    n_total = grid[-1]
-    r_block = len(rngs)
-    theta, theta_bar, sq_e, sq_c, sq_b = state
-
-    tmp = np.empty(r_block)
-    tmp2 = np.empty(r_block)
-    theta_old = np.empty(r_block)
-    ind_q = np.empty(r_block, dtype=bool)
-    ind_bar = np.empty(r_block, dtype=bool)
-    ind_th = np.empty(r_block, dtype=bool)
-
-    chunk = _chunk_steps(config.replicates)
-    n = 0
-    grid_pos = 0
-    while n < n_total:
-        span = min(chunk, n_total - n)
-        # Drawn lane-major like the kernel's, then copied step-major, so that
-        # each step's ufuncs read one contiguous row.
-        x_chunk = _draws(model, rngs, np.empty((r_block, span)), replicate_offset, n).T.copy()
-        for t in range(span):
-            x = x_chunk[t]
-            a_n = sched.gain_a(n if n >= 1 else 1)
-            b_n = sched.gain_b(n)
-
-            np.copyto(theta_old, theta)
-            np.greater(x, theta_bar, out=ind_bar)
-            np.greater(x, theta_old, out=ind_th)
-            np.less_equal(x, theta_old, out=ind_q)
-
-            # theta = (theta - ind_q*a_n) + a_n*alpha
-            np.multiply(ind_q, a_n, out=tmp)
-            theta -= tmp
-            theta += a_n * alpha
-
-            # theta_bar = theta_bar*(n/(n+1)) + theta*(1/(n+1))
-            cn = n / (n + 1)
-            cn1 = 1.0 / (n + 1)
-            theta_bar *= cn
-            np.multiply(theta, cn1, out=tmp)
-            theta_bar += tmp
-
-            # sq = sq*(1-b_n) + (x*ind)*(b_n*inv1ma)
-            scale = b_n * inv1ma
-            np.multiply(x, ind_bar, out=tmp)
-            tmp *= scale
-            sq_e *= 1.0 - b_n
-            sq_e += tmp
-            np.multiply(x, ind_th, out=tmp)
-            tmp *= scale
-            sq_c *= 1.0 - b_n
-            sq_c += tmp
-
-            # bardou target = ((x - theta_old)*inv1ma)*ind_th + theta_old
-            np.subtract(x, theta_old, out=tmp2)
-            tmp2 *= inv1ma
-            np.multiply(tmp2, ind_th, out=tmp2)
-            tmp2 += theta_old
-            sq_b *= 1.0 - b_n
-            tmp2 *= b_n
-            sq_b += tmp2
-
-            n += 1
-            if grid_pos < len(grid) and n == grid[grid_pos]:
-                out[grid_pos] = state
-                grid_pos += 1
-        _check_finite(state, replicate_offset, n)
+def _fold_scalar(config, x, n, checkpoints, state, out) -> None:
+    """The kernel's work done by estimators.run_stream: each lane of ``x``
+    steps on from counter ``n`` and its column of ``state``, leaving its five
+    estimators in ``out[c]`` when the counter reaches ``checkpoints[c]`` and
+    its final state back in ``state``."""
+    for lane, draws in enumerate(x.tolist()):
+        start = JointEstimatorState(config.alpha, config.schedule, n, *state[:, lane].tolist())
+        end, rows = run_stream(start, draws, checkpoints)
+        for c, row in enumerate(rows):
+            out[c, :, lane] = row[1:]
+        state[:, lane] = (end.theta, end.theta_bar, end.sq_embedded, end.sq_classical, end.sq_bardou)
 
 
 def fit_rate(points: Iterable[tuple[float, float]]) -> RateFit:

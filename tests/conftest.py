@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from streamrisk import experiments
 from streamrisk.asymptotics import clt_covariance_fast
 from streamrisk.distributions import RiskOracle
 
@@ -27,17 +26,6 @@ def expect_thread_warning():
                 yield
 
     return expect
-
-
-@pytest.fixture(params=["kernel", "numpy"])
-def engine(request, monkeypatch):
-    """Runs a test once with the compiled kernel and once with the numpy
-    engine, which a loader that finds no kernel forces."""
-    if request.param == "numpy":
-        monkeypatch.setattr(experiments, "_load_kernel", lambda: None)
-    elif experiments._load_kernel() is None:
-        pytest.skip("the replicate kernel could not be built here")
-    return request.param
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,16 +181,11 @@ def test_determinism_same_seed_same_state():
     assert run() == run()
 
 
-# One lane past a kernel sub-block boundary, and wide enough that the numpy
-# engine's memory budget cuts its chunks shorter than the kernel's; the
-# checkpoints sit on and next to both engines' chunk boundaries.
+# One lane past a kernel sub-block boundary; the checkpoints sit on and next
+# to the kernel's chunk boundaries.
 _WIDE = 128 * ex._KERNEL_LANES + 1
-_NUMPY_CHUNK = ex._chunk_steps(_WIDE)
 _KERNEL_CHUNK = ex._KERNEL_STEPS
-_WIDE_GRID = (
-    _NUMPY_CHUNK - 1, _NUMPY_CHUNK, _NUMPY_CHUNK + 1,
-    _KERNEL_CHUNK - 1, _KERNEL_CHUNK, _KERNEL_CHUNK + 1, 2 * _KERNEL_CHUNK, 2 * _KERNEL_CHUNK + 3,
-)
+_WIDE_GRID = (_KERNEL_CHUNK - 1, _KERNEL_CHUNK, _KERNEL_CHUNK + 1, 2 * _KERNEL_CHUNK, 2 * _KERNEL_CHUNK + 3)
 
 
 def _scalar_rows(model, alpha, sched, oracle, warm, seed, lane, n_grid):
@@ -219,7 +213,7 @@ def _scalar_rows(model, alpha, sched, oracle, warm, seed, lane, n_grid):
     ]
     + [pytest.param(sr.Gaussian(0.0, 1.0), False, _WIDE, _WIDE_GRID, id="wide-Gaussian-False")],
 )
-def test_vectorized_engine_matches_scalar_stream(engine, model, warm, replicates, n_grid):
+def test_kernel_matches_scalar_stream(model, warm, replicates, n_grid):
     sched = StepSchedule(a1=1.0, a_exp=0.6, b1=0.8, b_exp=0.75)
     cfg = ExperimentConfig(
         model=model,
@@ -265,20 +259,13 @@ def _engine_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_engines_equal_scalar_recursion_exactly(cfg):
     oracle = sr.oracle(cfg.model, cfg.alpha)
-
-    def block():
-        rngs = [substream(cfg.master_seed, 0, r) for r in range(cfg.replicates)]
-        out = _simulate_block(cfg, oracle, rngs, 0)
-        return np.stack([out[key] for key in ex.ESTIMATOR_KEYS], axis=-1)
-
-    kernel = block()
-    with mock.patch.object(ex, "_load_kernel", lambda: None):
-        numpy_engine = block()
+    rngs = [substream(cfg.master_seed, 0, r) for r in range(cfg.replicates)]
+    out = _simulate_block(cfg, oracle, rngs, 0)
+    kernel = np.stack([out[key] for key in ex.ESTIMATOR_KEYS], axis=-1)
     scalar = np.array([
         _scalar_rows(cfg.model, cfg.alpha, cfg.schedule, oracle, cfg.warm_start, cfg.master_seed, r, cfg.n_grid)
         for r in range(cfg.replicates)
     ]).transpose(1, 0, 2)
-    assert np.array_equal(numpy_engine, scalar)
     assert np.array_equal(kernel, scalar)
 
 

@@ -3,6 +3,7 @@ import os
 import shlex
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,18 +233,43 @@ def test_chunk_memory_stays_within_budget():
     assert peak <= 4 * budget, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def test_failed_kernel_build_falls_back_to_numpy_engine(monkeypatch):
-    cfg = small_config(replicates=ex._KERNEL_LANES + 3, n_grid=(10, 300))
+@pytest.mark.parametrize("warm", [True, False])
+@pytest.mark.parametrize(
+    "model", [sr.Uniform(0, 1), sr.Exponential(1.0), sr.Pareto(1.0, 2.2), sr.Gaussian(0.0, 1.0)], ids=str
+)
+def test_failed_kernel_build_falls_back_to_scalar_reference(monkeypatch, model, warm):
+    # 35 lanes cross a sub-block boundary, and the checkpoints a chunk boundary,
+    # over which the fold must carry each lane's state.
+    cfg = small_config(model=model, warm_start=warm, replicates=ex._KERNEL_LANES + 3,
+                       n_grid=(10, 4095, 4096, 4097))
     expected = run_experiment(cfg).estimates
-    failing_cc = shlex.join([sys.executable, "-c", "raise SystemExit(1)"])
+    # The compiler writes the marker reversed back, so it is in its stderr
+    # only, not in the command line that str(CalledProcessError) quotes.
+    marker = "kernel.c:1: error: marker"
+    failing_cc = shlex.join(
+        [sys.executable, "-c", f"import sys; sys.stderr.write({marker[::-1]!r}[::-1]); raise SystemExit(1)"]
+    )
     monkeypatch.setattr(ex, "_kernel", ex._UNLOADED)
     monkeypatch.setattr(ex.sysconfig, "get_config_var", lambda name: failing_cc)
-    with pytest.warns(RuntimeWarning, match="numpy engine") as record:
+    with pytest.warns(RuntimeWarning, match="scalar reference") as record:
         runs = [run_experiment(cfg).estimates for _ in range(2)]
     assert len(record) == 1 and ex._kernel is None
+    assert marker in str(record[0].message)
     for got in runs:
         for key in expected:
             assert np.array_equal(got[key], expected[key])
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["kernel", "scalar-fold"])
+def test_estimator_overflow_names_replicate_and_step(monkeypatch, fold):
+    # Finite but huge draws: (x * 1{x > theta_bar}) / (1 - alpha) overflows
+    # the embedded superquantile at its first step, found after the chunk.
+    if fold:
+        monkeypatch.setattr(ex, "_load_kernel", lambda: None)
+    cfg = small_config(alpha=0.9, n_grid=(5,), replicates=2, warm_start=True)
+    object.__setattr__(cfg, "model", SimpleNamespace(quantile=lambda u: np.full_like(u, 1e308)))
+    with pytest.raises(RuntimeError, match="^estimator 'embedded' became non-finite in replicate 7 by step 5$"):
+        _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.9), [substream(555, 0, r) for r in range(2)], 7)
 
 
 def _fake_result(pairs: np.ndarray, n: int = 1) -> ExperimentResult:
