@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=None, help="upper bound (default: usable CPUs)")
         p.set_defaults(handler=handler)
     return parser
 
@@ -269,7 +269,7 @@ def _cmd_clt(args) -> int:
         "rescaled superquantile deviation",
         ellipse_cov=asymptotics.clt_covariance_fast(oracle, cfg.schedule.b1) if fast else None,
     )
-    cov, _ = empirical_clt_cov(result, final_n)
+    # cov is the loop's last, at final_n.
     print(
         f"n = {final_n}: empirical (s11, s12, s22) = "
         f"({cov[0, 0]:.6g}, {cov[0, 1]:.6g}, {cov[1, 1]:.6g})"

@@ -3,21 +3,24 @@ empirical CLT covariances, and paired variant comparison.
 
 Replicates advance in a small C kernel (``_kernel.c``), compiled with the
 interpreter's C compiler on first use and loaded through ``ctypes``, which
-releases the GIL, so thread blocks run in parallel.  The kernel walks one
-replicate at a time through a chunk of steps with the arithmetic of
-:func:`streamrisk.estimators.step`, operation for operation, so a replicate is
-bit-identical to running its stream through the scalar recursion.  When no
-compiler works, the same chunk loop folds that scalar recursion over each
-replicate in its place, after one ``RuntimeWarning``: the same results, tens
-of times more slowly.
-Each replicate owns the substream (master_seed, experiment_id, replicate);
-results are assembled by replicate index, which makes thread count and
+releases the GIL.  The kernel walks one replicate at a time through a chunk
+of steps with the arithmetic of :func:`streamrisk.estimators.step`, operation
+for operation, so a replicate is bit-identical to running its stream through
+the scalar recursion.  One chunk-major loop drives it: the calling thread
+computes a chunk's gains once and fans the chunk's 32-replicate sub-blocks out
+to a pool of up to one thread per CPU, joining them before the next chunk.
+When no compiler works, the same loop folds the scalar recursion over each
+replicate in the kernel's place, after one ``RuntimeWarning``: the same
+results, tens of times more slowly.
+Each replicate owns the substream (master_seed, experiment_id, replicate) and
+its own columns of the state and results, which makes thread count and
 completion order irrelevant to the output.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import ctypes
 import math
 import os
@@ -25,6 +28,7 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +48,8 @@ ESTIMATOR_KEYS = ("theta", "theta_bar") + VARIANT_KEYS
 # The kernel advances sub-blocks of _KERNEL_LANES replicates through chunks of
 # _KERNEL_STEPS steps.  A sub-block's draws are one (lanes, steps) array, drawn
 # and transformed just before the kernel reads it, so each thread holds a few
-# such arrays (1 MiB each) whatever the replicate count.
+# such arrays (1 MiB each) whatever the replicate count.  A run starts at most
+# one thread per sub-block.
 _KERNEL_LANES = 32
 _KERNEL_STEPS = 4096
 
@@ -186,72 +191,49 @@ class ExperimentResult:
         return pairs
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
     """Run all replicates to max(n_grid), recording every estimator at each
-    checkpoint.  Results are independent of ``threads``; more threads than
-    CPUs draw a warning, as they slow the run down."""
+    checkpoint.  ``threads`` (default: the CPUs this process may use) bounds
+    the worker threads; one starts per _KERNEL_LANES replicates at most.
+    Results are independent of it; more workers than CPUs draw a warning, as
+    they slow the run down."""
+    cpus = _usable_cpus()
+    if threads is None:
+        threads = cpus
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    oracle = distributions.oracle(config.model, config.alpha)
-    n_checkpoints = len(config.n_grid)
-    r_total = config.replicates
-    estimates = {key: np.empty((n_checkpoints, r_total)) for key in ESTIMATOR_KEYS}
-
-    workers = min(threads, r_total)
-    cpus = os.cpu_count()
-    if cpus is not None and workers > cpus:
+    workers = min(threads, -(-config.replicates // _KERNEL_LANES))
+    if workers > cpus:
         warnings.warn(
             f"{workers} threads on {cpus} CPUs: expect a slower run, not a faster one",
             RuntimeWarning,
             stacklevel=2,
         )
-    bounds = _block_bounds(r_total, workers)
-    _load_kernel()  # build it here, not in racing worker threads
-
-    def work(lo: int, hi: int) -> None:
-        rngs = [
-            substream(config.master_seed, config.experiment_id, r) for r in range(lo, hi)
-        ]
-        block = _simulate_block(config, oracle, rngs, lo)
-        for key in ESTIMATOR_KEYS:
-            estimates[key][:, lo:hi] = block[key]
-
-    if len(bounds) == 1:
-        work(*bounds[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [pool.submit(work, lo, hi) for lo, hi in bounds]
-            for fut in futures:
-                fut.result()
+    oracle = distributions.oracle(config.model, config.alpha)
+    rngs = [substream(config.master_seed, config.experiment_id, r) for r in range(config.replicates)]
+    estimates = _simulate_block(config, oracle, rngs, workers)
     return ExperimentResult(config=config, oracle=oracle, estimates=estimates)
 
 
-def _block_bounds(total: int, blocks: int) -> list[tuple[int, int]]:
-    base, extra = divmod(total, blocks)
-    out = []
-    lo = 0
-    for i in range(blocks):
-        hi = lo + base + (1 if i < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _simulate_block(
     config: ExperimentConfig,
     oracle: RiskOracle,
     rngs: list[np.random.Generator],
-    replicate_offset: int,
+    workers: int = 1,
 ) -> dict[str, np.ndarray]:
-    """Advance a block of replicates to max(n_grid) with the compiled kernel,
+    """Advance replicates ``rngs`` to max(n_grid) with the compiled kernel,
     which must stay in lockstep with estimators.step (same operations in the
     same order on each lane), or with estimators.step itself when the kernel
     cannot be built.
     """
-    r_block = len(rngs)
+    r_total = len(rngs)
     if config.warm_start:
-        theta = np.full(r_block, float(oracle.theta_alpha))
-        sq0 = np.full(r_block, float(oracle.vartheta_alpha))
+        theta = np.full(r_total, float(oracle.theta_alpha))
+        sq0 = np.full(r_total, float(oracle.vartheta_alpha))
     else:
         u0 = np.array([rng.random() for rng in rngs])
         theta = np.asarray(config.model.quantile(u0), dtype=np.float64)
@@ -260,15 +242,15 @@ def _simulate_block(
         sq0 = theta / (1.0 - config.alpha)
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
-    out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_block))
-    _advance(_load_kernel(), config, rngs, replicate_offset, state, out)
+    out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_total))
+    _advance(_load_kernel(), config, rngs, state, out, workers)
     return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
 
 
 def _draws(model: DistributionModel, rngs, u: np.ndarray, first_replicate: int, n: int) -> np.ndarray:
     """Fill row j of ``u`` (lanes, steps) with the next draws of ``rngs[j]``
     and return their transform as a C-contiguous array; steps count from
-    ``n + 1``."""
+    ``n + 1`` and rows from replicate ``first_replicate``."""
     for row, rng in zip(u, rngs):
         rng.random(out=row)
     x = np.ascontiguousarray(model.quantile(u), dtype=np.float64)
@@ -285,49 +267,58 @@ def _draws(model: DistributionModel, rngs, u: np.ndarray, first_replicate: int, 
     return x
 
 
-def _check_finite(state: np.ndarray, replicate_offset: int, n: int) -> None:
+def _check_finite(state: np.ndarray, n: int) -> None:
     if not np.isfinite(state).all():
         k, r = np.argwhere(~np.isfinite(state))[0]
         raise RuntimeError(
-            f"estimator {ESTIMATOR_KEYS[k]!r} became non-finite in replicate "
-            f"{replicate_offset + int(r)} by step {n}"
+            f"estimator {ESTIMATOR_KEYS[k]!r} became non-finite in replicate {int(r)} by step {n}"
         )
 
 
-def _advance(kernel, config, rngs, replicate_offset, state, out) -> None:
-    """Advance ``state`` (5, lanes) in chunks of _KERNEL_STEPS steps; within a
-    chunk, each sub-block of _KERNEL_LANES lanes is drawn and then walked
-    through the chunk by the kernel, or by estimators.step when ``kernel`` is
-    None, either of which writes the checkpoints into ``out``."""
+def _advance(kernel, config, rngs, state, out, workers) -> None:
+    """Advance ``state`` (5, lanes) in chunks of _KERNEL_STEPS steps.  The
+    calling thread computes a chunk's gains once, then maps its sub-blocks of
+    _KERNEL_LANES lanes over ``workers`` threads and joins them before the
+    next chunk.  Each sub-block is drawn and then walked through the chunk by
+    the kernel, or by estimators.step when ``kernel`` is None, either of which
+    writes the checkpoints into ``out``."""
     sched, model, grid = config.schedule, config.model, config.n_grid
-    r_block = len(rngs)
-    lanes = min(_KERNEL_LANES, r_block)
-    draw_buf = np.empty(lanes * _KERNEL_STEPS)
+    r_total = len(rngs)
     gain_a = np.empty(_KERNEL_STEPS)
     gain_b = np.empty(_KERNEL_STEPS)
     inv1ma = 1.0 / (1.0 - config.alpha)
+    # Each thread reuses one draw buffer and holds its last transform until the
+    # next one exists: arrays freed between sub-blocks go back to the OS and
+    # are faulted in again, which makes a one-thread Pareto run 25% slower.
+    mine = threading.local()
+
+    def sub_block(lo: int) -> None:
+        hi = min(lo + _KERNEL_LANES, r_total)
+        if not hasattr(mine, "buf"):
+            mine.buf = np.empty(min(_KERNEL_LANES, r_total) * _KERNEL_STEPS)
+        u = mine.buf[: (hi - lo) * span].reshape(hi - lo, span)
+        mine.x = x = _draws(model, rngs[lo:hi], u, lo, n)
+        if kernel is None:
+            _fold_scalar(config, x, n, grid[grid_pos:stop], state[:, lo:hi], out[grid_pos:stop, :, lo:hi])
+        else:
+            kernel(hi - lo, span, n, x.ctypes.data, gain_a.ctypes.data, gain_b.ctypes.data,
+                   config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total,
+                   len(steps), steps.ctypes.data, snap + 8 * lo)
+
     n = grid_pos = 0
-    while n < grid[-1]:
-        span = min(_KERNEL_STEPS, grid[-1] - n)
-        gain_a[:span] = [sched.gain_a(k if k >= 1 else 1) for k in range(n, n + span)]
-        gain_b[:span] = [sched.gain_b(k) for k in range(n, n + span)]
-        stop = bisect.bisect_right(grid, n + span, grid_pos)
-        steps = np.array([g - n for g in grid[grid_pos:stop]], dtype=np.int64)
-        snap = out.ctypes.data + 8 * grid_pos * out.shape[1] * r_block
-        for lo in range(0, r_block, lanes):
-            hi = min(lo + lanes, r_block)
-            u = draw_buf[: (hi - lo) * span].reshape(hi - lo, span)
-            x = _draws(model, rngs[lo:hi], u, replicate_offset + lo, n)
-            if kernel is None:
-                _fold_scalar(config, x, n, grid[grid_pos:stop], state[:, lo:hi],
-                             out[grid_pos:stop, :, lo:hi])
-            else:
-                kernel(hi - lo, span, n, x.ctypes.data, gain_a.ctypes.data, gain_b.ctypes.data,
-                       config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_block,
-                       len(steps), steps.ctypes.data, snap + 8 * lo)
-        n += span
-        grid_pos = stop
-        _check_finite(state, replicate_offset, n)
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        fan_out = map if pool is None else pool.map
+        while n < grid[-1]:
+            span = min(_KERNEL_STEPS, grid[-1] - n)
+            gain_a[:span] = [sched.gain_a(k if k >= 1 else 1) for k in range(n, n + span)]
+            gain_b[:span] = [sched.gain_b(k) for k in range(n, n + span)]
+            stop = bisect.bisect_right(grid, n + span, grid_pos)
+            steps = np.array([g - n for g in grid[grid_pos:stop]], dtype=np.int64)
+            snap = out.ctypes.data + 8 * grid_pos * out.shape[1] * r_total
+            list(fan_out(sub_block, range(0, r_total, _KERNEL_LANES)))
+            n += span
+            grid_pos = stop
+            _check_finite(state, n)
 
 
 def _fold_scalar(config, x, n, checkpoints, state, out) -> None:

@@ -1,5 +1,4 @@
 import contextlib
-import os
 import warnings
 
 import numpy as np
@@ -7,17 +6,21 @@ import pytest
 
 from streamrisk.asymptotics import clt_covariance_fast
 from streamrisk.distributions import RiskOracle
+from streamrisk.experiments import _KERNEL_LANES, _usable_cpus
 
 
 @pytest.fixture
 def expect_thread_warning():
     """``with expect_thread_warning(threads, replicates):`` requires the
-    RuntimeWarning of a run that starts more threads than there are CPUs, and
-    no warning from any other run."""
+    RuntimeWarning of a run that starts more threads than there are usable
+    CPUs, and no warning from any other run.  A run starts
+    min(threads, ceil(replicates / _KERNEL_LANES)) threads, where
+    ``threads=None`` means the usable CPUs."""
 
     @contextlib.contextmanager
     def expect(threads, replicates):
-        if min(threads, replicates) > os.cpu_count():
+        cpus = _usable_cpus()
+        if min(cpus if threads is None else threads, -(-replicates // _KERNEL_LANES)) > cpus:
             with pytest.warns(RuntimeWarning, match="threads on"):
                 yield
         else:

@@ -1,6 +1,7 @@
 import pytest
 
 from streamrisk.cli import main
+from streamrisk.experiments import _KERNEL_LANES
 from streamrisk.tables import read_csv, render_csv
 
 GOLDEN_CFG = """\
@@ -95,12 +96,15 @@ class TestRatesCommand:
         assert (out1 / "rates.svg").read_bytes() == (out2 / "rates.svg").read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, expect_thread_warning):
-        cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)
-        out1, out8 = tmp_path / "t1", tmp_path / "t8"
+        # Three sub-blocks of the kernel, so --threads 3 starts three workers.
+        replicates = 2 * _KERNEL_LANES + 5
+        cfg = _write(tmp_path, "wide.cfg", GOLDEN_CFG.replace("replicates = 2", f"replicates = {replicates}"))
+        out1, out3 = tmp_path / "t1", tmp_path / "t3"
         assert main(["rates", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-        with expect_thread_warning(8, 2):  # GOLDEN_CFG has 2 replicates
-            assert main(["rates", "--config", str(cfg), "--out", str(out8), "--threads", "8"]) == 0
-        assert (out1 / "mse.csv").read_bytes() == (out8 / "mse.csv").read_bytes()
+        with expect_thread_warning(3, replicates):
+            assert main(["rates", "--config", str(cfg), "--out", str(out3), "--threads", "3"]) == 0
+        for name in ("mse.csv", "ratefit.csv", "rates.svg"):
+            assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
 
     def test_zero_threads_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)

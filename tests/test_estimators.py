@@ -226,7 +226,7 @@ def test_kernel_matches_scalar_stream(model, warm, replicates, n_grid):
     )
     oracle = sr.oracle(model, cfg.alpha)
     rngs = [substream(314, 0, r) for r in range(replicates)]
-    block = _simulate_block(cfg, oracle, rngs, 0)
+    block = _simulate_block(cfg, oracle, rngs)
     lanes = {0, 1, ex._KERNEL_LANES - 1, ex._KERNEL_LANES, replicates // 2, replicates - 1}
     for r in sorted(lane for lane in lanes if lane < replicates):
         rows = _scalar_rows(model, cfg.alpha, sched, oracle, warm, 314, r, n_grid)
@@ -248,19 +248,19 @@ def _engine_cases(draw):
         alpha=draw(st.floats(0.05, 0.95)),
         schedule=sched,
         n_grid=sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=5))),
-        replicates=draw(st.integers(2, ex._KERNEL_LANES + 8)),
+        replicates=draw(st.integers(2, 3 * ex._KERNEL_LANES + 8)),
         master_seed=draw(st.integers(0, 2**32)),
         warm_start=draw(st.booleans()),
     )
     return cfg
 
 
-@given(cfg=_engine_cases())
+@given(cfg=_engine_cases(), workers=st.sampled_from([1, 2, 3]))
 @settings(max_examples=60, deadline=None)
-def test_engines_equal_scalar_recursion_exactly(cfg):
+def test_engines_equal_scalar_recursion_exactly(cfg, workers):
     oracle = sr.oracle(cfg.model, cfg.alpha)
     rngs = [substream(cfg.master_seed, 0, r) for r in range(cfg.replicates)]
-    out = _simulate_block(cfg, oracle, rngs, 0)
+    out = _simulate_block(cfg, oracle, rngs, workers)
     kernel = np.stack([out[key] for key in ex.ESTIMATOR_KEYS], axis=-1)
     scalar = np.array([
         _scalar_rows(cfg.model, cfg.alpha, cfg.schedule, oracle, cfg.warm_start, cfg.master_seed, r, cfg.n_grid)

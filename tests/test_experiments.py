@@ -1,8 +1,8 @@
 import math
-import os
 import shlex
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,13 +92,38 @@ class TestRunExperiment:
         assert set(res.estimates) == {"theta", "theta_bar", "embedded", "classical", "bardou"}
         assert res.estimates["theta"].shape == (2, 8)
 
-    def test_thread_count_does_not_change_values(self, expect_thread_warning):
-        cfg = small_config(replicates=13, n_grid=(7, 29, 301))
+    def test_thread_count_does_not_change_values(self, monkeypatch, expect_thread_warning):
+        # Three sub-blocks, the last of 5 lanes: threads=3 starts three workers.
+        cfg = small_config(replicates=2 * ex._KERNEL_LANES + 5, n_grid=(7, 29, 301))
         res1 = run_experiment(cfg, threads=1)
+        pools = []
+
+        def pool(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(ex, "ThreadPoolExecutor", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
+        try:
+            for threads in (3, None):
+                with expect_thread_warning(threads, cfg.replicates):
+                    res = run_experiment(cfg, threads=threads)
+                for key in res1.estimates:
+                    assert np.array_equal(res1.estimates[key], res.estimates[key])
+        finally:
+            sys.setswitchinterval(interval)
+        cpus = ex._usable_cpus()  # the default: one worker per CPU, three sub-blocks at most
+        assert pools == ([3, min(3, cpus)] if cpus > 1 else [3])
+
+    def test_narrow_run_starts_no_pool(self, monkeypatch, expect_thread_warning):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(ex, "ThreadPoolExecutor", no_pool)
+        cfg = small_config(replicates=ex._KERNEL_LANES)
         with expect_thread_warning(8, cfg.replicates):
-            res8 = run_experiment(cfg, threads=8)
-        for key in res1.estimates:
-            assert np.array_equal(res1.estimates[key], res8.estimates[key])
+            run_experiment(cfg, threads=8)
 
     def test_rerun_is_bit_identical(self):
         cfg = small_config()
@@ -155,19 +180,23 @@ class TestRunExperiment:
             res.clt_pairs(11)
 
     def test_non_finite_draw_aborts_with_diagnostics(self):
-        class BadModel:
-            def quantile(self, u):
-                return np.where(np.asarray(u) > 0.9, np.inf, u)
+        # An infinite draw in lane 1, step 4 of the 3-lane second sub-block is
+        # named by its global replicate index.
+        def quantile(u):
+            x = np.array(u, dtype=np.float64)
+            if x.shape[:1] == (3,):
+                x[1, 3] = np.inf
+            return x
 
-        cfg = small_config()
-        object.__setattr__(cfg, "model", BadModel())
-        rngs = [substream(555, 0, r) for r in range(2)]
-        with pytest.raises(RuntimeError, match=r"non-finite draw at replicate \d+, step \d+"):
-            _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.5), rngs, 0)
+        cfg = small_config(replicates=ex._KERNEL_LANES + 3, warm_start=True)
+        object.__setattr__(cfg, "model", SimpleNamespace(quantile=quantile))
+        rngs = [substream(555, 0, r) for r in range(cfg.replicates)]
+        with pytest.raises(RuntimeError, match=r"^non-finite draw at replicate 33, step 4$"):
+            _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.5), rngs)
 
     def test_more_threads_than_cpus_warns(self, expect_thread_warning):
-        threads = os.cpu_count() + 1
-        cfg = small_config(replicates=max(8, threads))
+        threads = ex._usable_cpus() + 1
+        cfg = small_config(replicates=threads * ex._KERNEL_LANES)
         for t in (threads, 1):  # a warning with more threads than CPUs, none with one
             with expect_thread_warning(t, cfg.replicates):
                 run_experiment(cfg, threads=t)
@@ -185,7 +214,7 @@ class TestRunExperiment:
                 for r in range(3)
             ]
 
-        block = _simulate_block(cfg, sr.oracle(cfg.model, cfg.alpha), rngs(), 0)
+        block = _simulate_block(cfg, sr.oracle(cfg.model, cfg.alpha), rngs())
         for r, rng in enumerate(rngs()):
             x0 = sample(cfg.model, rng)
             if r == 0:
@@ -226,7 +255,7 @@ def test_chunk_memory_stays_within_budget():
         pytest.skip("the replicate kernel could not be built here")
     tracemalloc.start()
     try:
-        _simulate_block(cfg, oracle, rngs, 0)
+        _simulate_block(cfg, oracle, rngs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -262,14 +291,17 @@ def test_failed_kernel_build_falls_back_to_scalar_reference(monkeypatch, model, 
 
 @pytest.mark.parametrize("fold", [False, True], ids=["kernel", "scalar-fold"])
 def test_estimator_overflow_names_replicate_and_step(monkeypatch, fold):
-    # Finite but huge draws: (x * 1{x > theta_bar}) / (1 - alpha) overflows
-    # the embedded superquantile at its first step, found after the chunk.
+    # Finite but huge draws in the 3-lane second sub-block only:
+    # (x * 1{x > theta_bar}) / (1 - alpha) overflows its embedded superquantile
+    # at the first step, found after the chunk and named by its global index.
     if fold:
         monkeypatch.setattr(ex, "_load_kernel", lambda: None)
-    cfg = small_config(alpha=0.9, n_grid=(5,), replicates=2, warm_start=True)
-    object.__setattr__(cfg, "model", SimpleNamespace(quantile=lambda u: np.full_like(u, 1e308)))
-    with pytest.raises(RuntimeError, match="^estimator 'embedded' became non-finite in replicate 7 by step 5$"):
-        _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.9), [substream(555, 0, r) for r in range(2)], 7)
+    cfg = small_config(alpha=0.9, n_grid=(5,), replicates=ex._KERNEL_LANES + 3, warm_start=True)
+    huge_in_second = SimpleNamespace(quantile=lambda u: np.full_like(u, 1e308 if len(u) == 3 else 0.5))
+    object.__setattr__(cfg, "model", huge_in_second)
+    rngs = [substream(555, 0, r) for r in range(cfg.replicates)]
+    with pytest.raises(RuntimeError, match="^estimator 'embedded' became non-finite in replicate 32 by step 5$"):
+        _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.9), rngs)
 
 
 def _fake_result(pairs: np.ndarray, n: int = 1) -> ExperimentResult:
