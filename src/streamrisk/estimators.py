@@ -16,8 +16,11 @@ The update consuming an observation at pre-update counter ``n`` uses gains
 
 The compiled replicate kernel of :mod:`streamrisk.experiments` matches the
 arithmetic below operation for operation, so single-stream and replicate-block
-execution are bit-identical; where the kernel cannot be built, the replicate
-engine folds :func:`run_stream` itself over each replicate.
+execution are bit-identical.  It reads the gains and the Cesaro weights
+``n / (n + 1)`` and ``1 / (n + 1)`` from a per-chunk table that it fills with
+libm's ``pow``, the function Python's float ``**`` calls, so every entry
+equals the value computed here.  Where the kernel cannot be built, the
+replicate engine folds :func:`run_stream` itself over each replicate.
 """
 
 from __future__ import annotations

@@ -6,12 +6,14 @@ interpreter's C compiler on first use and loaded through ``ctypes``, which
 releases the GIL.  The kernel walks one replicate at a time through a chunk
 of steps with the arithmetic of :func:`streamrisk.estimators.step`, operation
 for operation, so a replicate is bit-identical to running its stream through
-the scalar recursion.  One chunk-major loop drives it: the calling thread
-computes a chunk's gains once and fans the chunk's 32-replicate sub-blocks out
-to a pool of up to one thread per CPU, joining them before the next chunk.
-When no compiler works, the same loop folds the scalar recursion over each
-replicate in the kernel's place, after one ``RuntimeWarning``: the same
-results, tens of times more slowly.
+the scalar recursion.  One chunk-major loop drives it: the calling thread has
+the kernel fill the chunk's step table (the gains and Cesaro weights that all
+replicates share), checks its first gains against the schedule, and fans the
+chunk's 32-replicate sub-blocks out to a pool of up to one thread per CPU,
+joining them before the next chunk.  No Python runs per step.  When no
+compiler works, the same loop folds the scalar recursion over each replicate
+in the kernel's place, after one ``RuntimeWarning``: the same results, tens of
+times more slowly.
 Each replicate owns the substream (master_seed, experiment_id, replicate) and
 its own columns of the state and results, which makes thread count and
 completion order irrelevant to the output.
@@ -58,8 +60,9 @@ _kernel = _UNLOADED
 
 
 def _load_kernel():
-    """The compiled kernel's ``advance`` function, or None when it cannot be
-    built.  It is built once per process, on first use and never at import."""
+    """The compiled kernel (a ``ctypes.CDLL`` with ``step_table`` and
+    ``advance``), or None when it cannot be built.  It is built once per
+    process, on first use and never at import."""
     global _kernel
     if _kernel is _UNLOADED:
         _kernel = _build_kernel()
@@ -75,12 +78,12 @@ def _build_kernel():
         lib = os.path.join(tmp, "_kernel.so")
         try:
             subprocess.run(
-                [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", lib, str(source)],
+                [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", lib, str(source), "-lm"],
                 check=True,
                 capture_output=True,
                 timeout=120,
             )
-            advance = ctypes.CDLL(lib).advance
+            kernel = ctypes.CDLL(lib)
         except (OSError, subprocess.SubprocessError) as exc:
             # The compiler's own message is in its stderr, not in str(exc).
             detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()[-2000:]
@@ -93,9 +96,10 @@ def _build_kernel():
             )
             return None
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    advance.argtypes = [i64, i64, i64, ptr, ptr, ptr, dbl, dbl, ptr, i64, i64, ptr, ptr]
-    advance.restype = None
-    return advance
+    kernel.step_table.argtypes = [i64, i64, dbl, dbl, dbl, dbl, ptr, i64]
+    kernel.advance.argtypes = [i64, i64, ptr, ptr, i64, dbl, dbl, ptr, i64, i64, ptr, ptr]
+    kernel.step_table.restype = kernel.advance.restype = None
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -235,10 +239,8 @@ def _simulate_block(
         theta = np.full(r_total, float(oracle.theta_alpha))
         sq0 = np.full(r_total, float(oracle.vartheta_alpha))
     else:
-        u0 = np.array([rng.random() for rng in rngs])
-        theta = np.asarray(config.model.quantile(u0), dtype=np.float64)
-        if not np.isfinite(theta).all():
-            theta = distributions.mend_zero_draws(config.model, u0, theta)
+        # A cold start takes each replicate's first draw, its step 0, as theta_0.
+        theta = _draws(config.model, rngs, np.empty((r_total, 1)), 0, -1)[:, 0]
         sq0 = theta / (1.0 - config.alpha)
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
@@ -277,15 +279,14 @@ def _check_finite(state: np.ndarray, n: int) -> None:
 
 def _advance(kernel, config, rngs, state, out, workers) -> None:
     """Advance ``state`` (5, lanes) in chunks of _KERNEL_STEPS steps.  The
-    calling thread computes a chunk's gains once, then maps its sub-blocks of
-    _KERNEL_LANES lanes over ``workers`` threads and joins them before the
-    next chunk.  Each sub-block is drawn and then walked through the chunk by
-    the kernel, or by estimators.step when ``kernel`` is None, either of which
-    writes the checkpoints into ``out``."""
+    calling thread has the kernel fill the chunk's step table once, then maps
+    the chunk's sub-blocks of _KERNEL_LANES lanes over ``workers`` threads and
+    joins them before the next chunk.  Each sub-block is drawn and then walked
+    through the chunk by the kernel, or by estimators.step when ``kernel`` is
+    None, either of which writes the checkpoints into ``out``."""
     sched, model, grid = config.schedule, config.model, config.n_grid
     r_total = len(rngs)
-    gain_a = np.empty(_KERNEL_STEPS)
-    gain_b = np.empty(_KERNEL_STEPS)
+    table = np.empty((4, _KERNEL_STEPS))  # gain_a, gain_b, n/(n+1), 1/(n+1)
     inv1ma = 1.0 / (1.0 - config.alpha)
     # Each thread reuses one draw buffer and holds its last transform until the
     # next one exists: arrays freed between sub-blocks go back to the OS and
@@ -301,17 +302,23 @@ def _advance(kernel, config, rngs, state, out, workers) -> None:
         if kernel is None:
             _fold_scalar(config, x, n, grid[grid_pos:stop], state[:, lo:hi], out[grid_pos:stop, :, lo:hi])
         else:
-            kernel(hi - lo, span, n, x.ctypes.data, gain_a.ctypes.data, gain_b.ctypes.data,
-                   config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total,
-                   len(steps), steps.ctypes.data, snap + 8 * lo)
+            kernel.advance(hi - lo, span, x.ctypes.data, table.ctypes.data, _KERNEL_STEPS,
+                           config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total,
+                           len(steps), steps.ctypes.data, snap + 8 * lo)
 
     n = grid_pos = 0
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         fan_out = map if pool is None else pool.map
         while n < grid[-1]:
             span = min(_KERNEL_STEPS, grid[-1] - n)
-            gain_a[:span] = [sched.gain_a(k if k >= 1 else 1) for k in range(n, n + span)]
-            gain_b[:span] = [sched.gain_b(k) for k in range(n, n + span)]
+            if kernel is not None:
+                kernel.step_table(span, n, sched.a1, sched.a_exp, sched.b1, sched.b_exp,
+                                  table.ctypes.data, _KERNEL_STEPS)
+                # The table must hold the schedule's own gains: a schedule whose
+                # gains are not the power laws of its fields, or a pow that is
+                # not the interpreter's, would part the kernel from estimators.step.
+                if table[0, 0] != sched.gain_a(max(n, 1)) or table[1, 0] != sched.gain_b(n):
+                    raise RuntimeError(f"step table differs from the schedule's gains at step {n}")
             stop = bisect.bisect_right(grid, n + span, grid_pos)
             steps = np.array([g - n for g in grid[grid_pos:stop]], dtype=np.int64)
             snap = out.ctypes.data + 8 * grid_pos * out.shape[1] * r_total

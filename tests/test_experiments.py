@@ -1,12 +1,17 @@
 import math
 import shlex
+import shutil
+import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import streamrisk as sr
 from streamrisk import experiments as ex
@@ -194,6 +199,22 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"^non-finite draw at replicate 33, step 4$"):
             _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.5), rngs)
 
+    def test_non_finite_initial_draw_aborts_before_the_first_chunk(self):
+        # A cold start reads each replicate's first draw as theta_0; an infinite
+        # one that is not a u = 0 draw is named at step 0, not found as a
+        # non-finite estimator after the first chunk.
+        def quantile(u):
+            x = np.array(u, dtype=np.float64)
+            if x.shape[1:] == (1,):
+                x[2, 0] = np.inf
+            return x
+
+        cfg = small_config(replicates=4, n_grid=(10,))
+        object.__setattr__(cfg, "model", SimpleNamespace(quantile=quantile))
+        rngs = [substream(555, 0, r) for r in range(cfg.replicates)]
+        with pytest.raises(RuntimeError, match=r"^non-finite draw at replicate 2, step 0$"):
+            _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.5), rngs)
+
     def test_more_threads_than_cpus_warns(self, expect_thread_warning):
         threads = ex._usable_cpus() + 1
         cfg = small_config(replicates=threads * ex._KERNEL_LANES)
@@ -242,7 +263,15 @@ class _ZeroAt:
         return float(u[0]) if size is None and out is None else u
 
 
-def test_chunk_memory_stays_within_budget():
+@pytest.fixture(scope="module")
+def kernel():
+    kernel = ex._load_kernel()
+    if kernel is None:
+        pytest.skip("the replicate kernel could not be built here")
+    return kernel
+
+
+def test_chunk_memory_stays_within_budget(kernel):
     # 4096 replicates through one full kernel chunk and one more step.  The
     # kernel draws one sub-block (_KERNEL_LANES, _KERNEL_STEPS) at a time, so
     # the block's traced peak, beyond its generators, is a few sub-block arrays
@@ -251,8 +280,6 @@ def test_chunk_memory_stays_within_budget():
     cfg = small_config(replicates=4096, n_grid=(ex._KERNEL_STEPS + 1,), warm_start=True)
     oracle = sr.oracle(cfg.model, cfg.alpha)
     rngs = [substream(cfg.master_seed, 0, r) for r in range(cfg.replicates)]
-    if ex._load_kernel() is None:
-        pytest.skip("the replicate kernel could not be built here")
     tracemalloc.start()
     try:
         _simulate_block(cfg, oracle, rngs)
@@ -260,6 +287,52 @@ def test_chunk_memory_stays_within_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * budget, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@given(
+    a1=st.floats(1e-100, 1e100),
+    a_exp=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    b1=st.floats(1e-100, 1e100),
+    b_exp=st.just(1.0) | st.floats(0.5, 1.0, exclude_min=True),
+    n0=st.sampled_from([0, 1, 4095, 10**6, 10**9 + 7, 2**40]),
+    span=st.sampled_from([1, ex._KERNEL_STEPS]),
+)
+@settings(max_examples=60, deadline=None)
+def test_step_table_matches_schedule_exactly(kernel, a1, a_exp, b1, b_exp, n0, span):
+    # The kernel's rows are the gains and Cesaro weights of estimators.step,
+    # computed in Python, with == on every entry.
+    sched = StepSchedule(a1=a1, a_exp=a_exp, b1=b1, b_exp=b_exp)
+    table = np.full((4, ex._KERNEL_STEPS), np.nan)
+    kernel.step_table(span, n0, a1, a_exp, b1, b_exp, table.ctypes.data, ex._KERNEL_STEPS)
+    steps = range(n0, n0 + span)
+    assert table[0, :span].tolist() == [sched.gain_a(max(n, 1)) for n in steps]
+    assert table[1, :span].tolist() == [sched.gain_b(n) for n in steps]
+    assert table[2, :span].tolist() == [n / (n + 1) for n in steps]
+    assert table[3, :span].tolist() == [1.0 / (n + 1) for n in steps]
+
+
+class _OneUlpHighGainB(StepSchedule):
+    def gain_b(self, n: int) -> float:
+        return math.nextafter(super().gain_b(n), math.inf)
+
+
+def test_step_table_that_differs_from_the_schedule_aborts(kernel):
+    # The kernel computes the gains from the schedule's fields; a schedule whose
+    # own gain_b is one ulp off must stop the run at the first chunk.
+    cfg = small_config(schedule=_OneUlpHighGainB(a1=1.0, a_exp=2 / 3, b1=1.0, b_exp=1.0))
+    with pytest.raises(RuntimeError, match=r"^step table differs from the schedule's gains at step 0$"):
+        run_experiment(cfg)
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r} here")
+    source = Path(ex.__file__).with_name("_kernel.c")
+    flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-fPIC", "-shared"]
+    done = subprocess.run([*cc, *flags, "-o", str(tmp_path / "k.so"), str(source), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("warm", [True, False])
