@@ -227,21 +227,23 @@ def _cmd_clt(args) -> int:
     cfg = _load_config(args)
     if cfg.replicates < 30:
         raise ConfigError(f"replicates >= 30 required for clt, got {cfg.replicates}")
-    result = run_experiment(cfg, threads=args.threads)
-    out = _out_dir(args)
-    comments = ["streamrisk clt; " + config_summary(cfg)]
-    oracle = result.oracle
-    fast = cfg.schedule.b_exp == 1.0
-    if fast:
+    # The theory is computed before the run, so a config it rejects (a fast
+    # regime with b1 <= 1/2) fails without simulating any replicate.
+    oracle = distributions.oracle(cfg.model, cfg.alpha)
+    if cfg.schedule.b_exp == 1.0:
         s2 = asymptotics.clt_covariance_fast(oracle, cfg.schedule.b1)
         theory = (s2[0, 0], s2[0, 1], s2[1, 1])
     else:
+        s2 = None
         f = oracle.density_at_quantile
         theory = (
             oracle.alpha * (1.0 - oracle.alpha) / (f * f),
             None,
             asymptotics.clt_variance_slow(oracle),
         )
+    result = run_experiment(cfg, threads=args.threads)
+    out = _out_dir(args)
+    comments = ["streamrisk clt; " + config_summary(cfg)]
     rows = []
     for n in cfg.n_grid:
         cov, se = empirical_clt_cov(result, n)
@@ -267,7 +269,7 @@ def _cmd_clt(args) -> int:
         f"rescaled deviations at n = {final_n}",
         "sqrt(n) (theta_bar - theta_alpha)",
         "rescaled superquantile deviation",
-        ellipse_cov=asymptotics.clt_covariance_fast(oracle, cfg.schedule.b1) if fast else None,
+        ellipse_cov=s2,
     )
     # cov is the loop's last, at final_n.
     print(
@@ -282,9 +284,12 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args)
     if len(cfg.variants) < 2:
         raise ConfigError("compare requires at least 2 variants in the config")
+    # Before the run, as in _cmd_clt.
+    oracle = distributions.oracle(cfg.model, cfg.alpha)
+    theory = asymptotics.variance_comparison(oracle, cfg.schedule.b1, cfg.schedule.b_exp)
     result = run_experiment(cfg, threads=args.threads)
     out = _out_dir(args)
-    report = compare_variants(result)
+    report = compare_variants(result, theory)
     rows = []
     for row in report.rows:
         verdict = report.theory.verdict if "embedded" in row.pair else "tie"

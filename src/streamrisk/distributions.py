@@ -9,6 +9,11 @@ superquantile, density at the quantile, and the tail variance
 while :func:`numeric_oracle` recomputes the same structure by bisection on the
 cdf and adaptive quadrature of x*f(x) and x^2*f(x) only, so the two routes
 stay independent cross-checks of each other.
+
+scipy is imported on first use, inside the functions that need it: ``quad``
+by the quadrature of :func:`numeric_oracle`, ``ndtr``/``ndtri`` by the
+:class:`Gaussian` methods.  Importing this module (and the CLI) loads none of
+it, so a run on the other models never pays scipy's import.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -52,9 +55,13 @@ class Gaussian:
         return math.exp(-0.5 * z * z) / (self.stddev * _SQRT_2PI)
 
     def cdf(self, x: float) -> float:
+        from scipy.special import ndtr
+
         return float(ndtr((x - self.mean) / self.stddev))
 
     def quantile(self, u):
+        from scipy.special import ndtri
+
         return self.mean + self.stddev * ndtri(u)
 
     def superquantile(self, alpha: float, theta: float) -> float:
@@ -63,12 +70,16 @@ class Gaussian:
         return self.mean + self.stddev * phi / (1.0 - alpha)
 
     def tail_first_moment(self, t: float) -> float:
+        from scipy.special import ndtr
+
         z = (t - self.mean) / self.stddev
         q = float(ndtr(-z))
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
         return self.mean * q + self.stddev * phi
 
     def tail_second_moment(self, t: float) -> float:
+        from scipy.special import ndtr
+
         z = (t - self.mean) / self.stddev
         q = float(ndtr(-z))
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
@@ -325,6 +336,8 @@ def _bisect_quantile(
 
 
 def _quad_checked(func, lo: float, hi: float) -> tuple[float, float]:
+    from scipy.integrate import quad
+
     # Splitting at decade waypoints keeps each subrange well-conditioned;
     # a single pass over many decades of power-law decay trips QUADPACK's
     # extrapolation roundoff detection.
@@ -350,6 +363,7 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
     remainder over [T, inf) is mapped to (0, 1/T] with y = 1/x so that slowly
     decaying tails (Pareto) are captured instead of truncated.
     """
+    from scipy.integrate import quad
 
     def g(x: float) -> float:
         return x**power * model.pdf(x)

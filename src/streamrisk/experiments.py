@@ -407,19 +407,27 @@ class CompareReport:
     theory: asymptotics.ComparisonReport
 
 
-def compare_variants(result: ExperimentResult, z: float = 1.959963984540054) -> CompareReport:
+def compare_variants(
+    result: ExperimentResult,
+    theory: asymptotics.ComparisonReport | None = None,
+    z: float = 1.959963984540054,
+) -> CompareReport:
     """Paired MSE ratios between variants per checkpoint.
 
     Ratios are paired through common random numbers (all variants consumed the
     same draws); confidence intervals come from leave-one-replicate-out
-    jackknife at the given normal quantile (default 95%).
+    jackknife at the given normal quantile (default 95%).  ``theory`` is
+    ``asymptotics.variance_comparison`` of the result's oracle and schedule;
+    callers that checked it before the run pass it in, otherwise it is
+    computed here.
     """
     present = result.config.variants
     if len(present) < 2:
         raise ValueError("variant comparison requires at least 2 variants")
     pairs = [(a, b) for i, a in enumerate(present) for b in present[i + 1 :]]
-    sched = result.config.schedule
-    theory = asymptotics.variance_comparison(result.oracle, sched.b1, sched.b_exp)
+    if theory is None:
+        sched = result.config.schedule
+        theory = asymptotics.variance_comparison(result.oracle, sched.b1, sched.b_exp)
 
     rows: list[VariantComparisonRow] = []
     for a, b in pairs:

@@ -10,14 +10,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def fmt_value(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
     if v is None:
         return "n/a"
     return repr(float(v))

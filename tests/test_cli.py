@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
+from streamrisk import cli
 from streamrisk.cli import main
 from streamrisk.experiments import _KERNEL_LANES
-from streamrisk.tables import read_csv, render_csv
+from streamrisk.tables import fmt_value, read_csv, render_csv
 
 GOLDEN_CFG = """\
 # golden small config
@@ -177,6 +179,24 @@ class TestCltCommand:
         assert "replicates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("clt", "error: fast-regime covariance requires b1 > 1/2, got 0.5"),
+        ("compare", "error: b_exp = 1 comparison requires b1 > 1/2, got 0.5"),
+    ],
+)
+def test_fast_regime_b1_at_half_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command, message):
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("run_experiment called for a config the theory rejects")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    cfg = _write(tmp_path, "half.cfg", CLT_FAST_CFG.replace("b1 = 1.0", "b1 = 0.5"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestCompareCommand:
     def test_compare_writes_rows_with_verdict(self, tmp_path):
         cfg = _write(tmp_path, "cmp.cfg", GOLDEN_CFG)
@@ -228,6 +248,13 @@ class TestCsvRoundTrip:
         assert int(parsed[0][1]) == 1
         for got, want in zip(parsed[0][2:], rows[0][2:]):
             assert float(got) == want
+
+    def test_numpy_scalars_written_like_python_ones(self):
+        assert fmt_value(np.int64(1000)) == "1000"
+        assert fmt_value(np.uint8(7)) == "7"
+        assert fmt_value(np.bool_(True)) == "true"
+        assert fmt_value(np.bool_(False)) == "false"
+        assert fmt_value(np.float64(0.1)) == "0.1"
 
     def test_comment_lines_preserved(self, tmp_path):
         p = tmp_path / "t.csv"
