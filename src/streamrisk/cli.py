@@ -112,22 +112,17 @@ def _cmd_oracle(args) -> int:
     numeric = distributions.numeric_oracle(model, args.alpha)
     print(f"# {format_distribution(model)}; alpha = {args.alpha!r}")
     print(f"{'quantity':<22}{'closed_form':>18}{'quadrature':>18}{'abs_diff':>14}")
-    rows = []
-    for field in _ORACLE_FIELDS:
-        c, q = getattr(closed, field), getattr(numeric, field)
-        print(f"{field:<22}{c:>18.10g}{q:>18.10g}{abs(c - q):>14.3e}")
-        rows.append((c, q))
-    ratio_c = closed.vartheta_alpha / closed.theta_alpha
-    ratio_q = numeric.vartheta_alpha / numeric.theta_alpha
-    print(f"{'vartheta_over_theta':<22}{ratio_c:>18.10g}{ratio_q:>18.10g}{abs(ratio_c - ratio_q):>14.3e}")
-    rows.append((ratio_c, ratio_q))
+    header = list(_ORACLE_FIELDS) + ["vartheta_over_theta"]
+    rows = [(getattr(closed, field), getattr(numeric, field)) for field in _ORACLE_FIELDS]
+    # vartheta / theta reads as a multiple of the quantile only when theta > 0.
+    rows.append(tuple(o.vartheta_alpha / o.theta_alpha if o.theta_alpha > 0 else None for o in (closed, numeric)))
+    rows = [(c, q, None if None in (c, q) else abs(c - q)) for c, q in rows]
+    for name, row in zip(header, rows):
+        c, q, d = ("n/a" if v is None else format(v, spec) for v, spec in zip(row, (".10g", ".10g", ".3e")))
+        print(f"{name:<22}{c:>18}{q:>18}{d:>14}")
     if args.out is not None:
-        header = list(_ORACLE_FIELDS) + ["vartheta_over_theta"]
-        csv_rows = [
-            ["closed_form"] + [r[0] for r in rows],
-            ["quadrature"] + [r[1] for r in rows],
-            ["abs_discrepancy"] + [abs(r[0] - r[1]) for r in rows],
-        ]
+        sources = ("closed_form", "quadrature", "abs_discrepancy")
+        csv_rows = [[source] + [row[k] for row in rows] for k, source in enumerate(sources)]
         write_csv(
             _out_dir(args) / "oracle.csv",
             ["source"] + header,

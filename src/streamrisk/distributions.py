@@ -275,18 +275,29 @@ class RiskOracle:
 
 
 def oracle(model: DistributionModel, alpha: float) -> RiskOracle:
-    """Closed-form risk oracle for a supported model at level ``alpha``."""
+    """Closed-form risk oracle for a supported model at level ``alpha``; a
+    ValueError names the first quantity whose closed form overflows."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    theta = float(model.quantile(alpha))
-    vartheta = model.superquantile(alpha, theta)
-    e1 = model.tail_first_moment(theta)
-    e2 = model.tail_second_moment(theta)
+
+    def finite(name: str, method, *args) -> float:
+        try:
+            value = float(method(*args))
+        except ArithmeticError:  # float ** raises OverflowError, / ZeroDivisionError
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{name} of {model} at alpha = {alpha!r} overflows float arithmetic")
+        return value
+
+    theta = finite("theta_alpha", model.quantile, alpha)
+    vartheta = finite("vartheta_alpha", model.superquantile, alpha, theta)
+    e1 = finite("tail first moment", model.tail_first_moment, theta)
+    e2 = finite("tail second moment", model.tail_second_moment, theta)
     return RiskOracle(
         alpha=alpha,
         theta_alpha=theta,
         vartheta_alpha=vartheta,
-        density_at_quantile=model.pdf(theta),
+        density_at_quantile=finite("density_at_quantile", model.pdf, theta),
         v_alpha=e2 - e1 * e1,
     )
 

@@ -9,8 +9,9 @@ for operation, so a replicate is bit-identical to running its stream through
 the scalar recursion.  One chunk-major loop drives it: the calling thread has
 the kernel fill the chunk's step table (the gains and Cesaro weights that all
 replicates share), checks its first gains against the schedule, and fans the
-chunk's 32-replicate sub-blocks out to a pool of up to one thread per CPU,
-joining them before the next chunk.  No Python runs per step.  When no
+chunk's 32-replicate sub-blocks out to a pool of workers, joining them
+before the next chunk; a run starts no more workers than its ``threads``, the
+CPUs it may use, or its sub-blocks.  No Python runs per step.  When no
 compiler works, the same loop folds the scalar recursion over each replicate
 in the kernel's place, after one ``RuntimeWarning``: the same results, tens of
 times more slowly.
@@ -197,22 +198,15 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
     """Run all replicates to max(n_grid), recording every estimator at each
-    checkpoint.  ``threads`` (default: the CPUs this process may use) bounds
-    the worker threads; one starts per _KERNEL_LANES replicates at most.
-    Results are independent of it; more workers than CPUs draw a warning, as
-    they slow the run down."""
+    checkpoint.  ``threads`` (default: the CPUs this process may use) caps the
+    worker threads: a run starts min(threads, those CPUs, one per
+    _KERNEL_LANES replicates) of them.  Results are independent of it."""
     cpus = _usable_cpus()
     if threads is None:
         threads = cpus
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = min(threads, -(-config.replicates // _KERNEL_LANES))
-    if workers > cpus:
-        warnings.warn(
-            f"{workers} threads on {cpus} CPUs: expect a slower run, not a faster one",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    workers = min(threads, cpus, -(-config.replicates // _KERNEL_LANES))
     oracle = distributions.oracle(config.model, config.alpha)
     rngs = [substream(config.master_seed, config.experiment_id, r) for r in range(config.replicates)]
     estimates = _simulate_block(config, oracle, rngs, workers)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamrisk import cli
+from streamrisk import cli, experiments
 from streamrisk.cli import main
 from streamrisk.experiments import _KERNEL_LANES
 from streamrisk.tables import fmt_value, read_csv, render_csv
@@ -83,6 +83,21 @@ class TestOracleCommand:
     def test_unknown_distribution_exits_2(self, capsys):
         assert main(["oracle", "--dist", "cauchy:0,1", "--alpha", "0.5"]) == 2
 
+    def test_zero_quantile_ratio_is_not_available(self, tmp_path, capsys):
+        assert main(["oracle", "--dist", "gaussian:0,1", "--alpha", "0.5", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["vartheta_over_theta"] + ["n/a"] * 3
+        _, header, rows = read_csv(tmp_path / "oracle.csv")
+        assert [row[header.index("vartheta_over_theta")] for row in rows] == ["n/a"] * 3
+
+
+@pytest.mark.parametrize("command", ["oracle", "rates"])
+@pytest.mark.parametrize("dist", ["exponential:1e-300", "uniform:-1e308,1e308", "pareto:1e300,2.5"])
+def test_oracle_outside_float_range_exits_2(tmp_path, capsys, command, dist):
+    cfg = _write(tmp_path, "edge.cfg", GOLDEN_CFG.replace("uniform lo=0 hi=1", dist))
+    argv = {"oracle": ["--dist", dist, "--alpha", "0.5"], "rates": ["--config", str(cfg), "--out", str(tmp_path)]}
+    assert main([command, *argv[command]]) == 2
+    assert "overflows float arithmetic" in capsys.readouterr().err
+
 
 class TestRatesCommand:
     def test_missing_config_exits_2(self, tmp_path):
@@ -97,14 +112,14 @@ class TestRatesCommand:
         assert (out1 / "ratefit.csv").read_bytes() == (out2 / "ratefit.csv").read_bytes()
         assert (out1 / "rates.svg").read_bytes() == (out2 / "rates.svg").read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, expect_thread_warning):
-        # Three sub-blocks of the kernel, so --threads 3 starts three workers.
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # Three sub-blocks of the kernel on three CPUs, so --threads 3 starts three workers.
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
         replicates = 2 * _KERNEL_LANES + 5
         cfg = _write(tmp_path, "wide.cfg", GOLDEN_CFG.replace("replicates = 2", f"replicates = {replicates}"))
         out1, out3 = tmp_path / "t1", tmp_path / "t3"
         assert main(["rates", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-        with expect_thread_warning(3, replicates):
-            assert main(["rates", "--config", str(cfg), "--out", str(out3), "--threads", "3"]) == 0
+        assert main(["rates", "--config", str(cfg), "--out", str(out3), "--threads", "3"]) == 0
         for name in ("mse.csv", "ratefit.csv", "rates.svg"):
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
 

@@ -97,38 +97,38 @@ class TestRunExperiment:
         assert set(res.estimates) == {"theta", "theta_bar", "embedded", "classical", "bardou"}
         assert res.estimates["theta"].shape == (2, 8)
 
-    def test_thread_count_does_not_change_values(self, monkeypatch, expect_thread_warning):
-        # Three sub-blocks, the last of 5 lanes: threads=3 starts three workers.
+    def test_thread_count_does_not_change_values(self, monkeypatch):
+        # Three sub-blocks, the last of 5 lanes, on three CPUs: threads=3 and
+        # the default both start three workers.
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 3)
         cfg = small_config(replicates=2 * ex._KERNEL_LANES + 5, n_grid=(7, 29, 301))
         res1 = run_experiment(cfg, threads=1)
-        pools = []
-
-        def pool(workers):
-            pools.append(workers)
-            return ThreadPoolExecutor(workers)
-
-        monkeypatch.setattr(ex, "ThreadPoolExecutor", pool)
+        pools = _record_pools(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
         try:
             for threads in (3, None):
-                with expect_thread_warning(threads, cfg.replicates):
-                    res = run_experiment(cfg, threads=threads)
+                res = run_experiment(cfg, threads=threads)
                 for key in res1.estimates:
                     assert np.array_equal(res1.estimates[key], res.estimates[key])
         finally:
             sys.setswitchinterval(interval)
-        cpus = ex._usable_cpus()  # the default: one worker per CPU, three sub-blocks at most
-        assert pools == ([3, min(3, cpus)] if cpus > 1 else [3])
+        assert pools == [3, 3]
 
-    def test_narrow_run_starts_no_pool(self, monkeypatch, expect_thread_warning):
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        # threads=3 on three sub-blocks and two CPUs starts two workers, without a warning.
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+        pools = _record_pools(monkeypatch)
+        run_experiment(small_config(replicates=2 * ex._KERNEL_LANES + 5), threads=3)
+        assert pools == [2]
+
+    def test_narrow_run_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(ex, "ThreadPoolExecutor", no_pool)
-        cfg = small_config(replicates=ex._KERNEL_LANES)
-        with expect_thread_warning(8, cfg.replicates):
-            run_experiment(cfg, threads=8)
+        run_experiment(small_config(replicates=ex._KERNEL_LANES), threads=8)
 
     def test_rerun_is_bit_identical(self):
         cfg = small_config()
@@ -215,13 +215,6 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"^non-finite draw at replicate 2, step 0$"):
             _simulate_block(cfg, sr.oracle(sr.Uniform(0, 1), 0.5), rngs)
 
-    def test_more_threads_than_cpus_warns(self, expect_thread_warning):
-        threads = ex._usable_cpus() + 1
-        cfg = small_config(replicates=threads * ex._KERNEL_LANES)
-        for t in (threads, 1):  # a warning with more threads than CPUs, none with one
-            with expect_thread_warning(t, cfg.replicates):
-                run_experiment(cfg, threads=t)
-
     def test_zero_draw_is_read_as_zero_draw_constant(self):
         # A u = 0 draw maps to -inf under the Gaussian inverse cdf; the engine
         # must read it as ZERO_DRAW, as the scalar reference does, in the
@@ -247,6 +240,18 @@ class TestRunExperiment:
                 assert block["theta"][k, r] == state.theta
                 assert block["embedded"][k, r] == state.sq_embedded
                 assert block["bardou"][k, r] == state.sq_bardou
+
+
+def _record_pools(monkeypatch) -> list[int]:
+    """The sizes of the thread pools that runs start from now on."""
+    pools = []
+
+    def pool(workers):
+        pools.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", pool)
+    return pools
 
 
 class _ZeroAt:
