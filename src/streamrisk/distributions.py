@@ -10,19 +10,29 @@ while :func:`numeric_oracle` recomputes the same structure by bisection on the
 cdf and adaptive quadrature of x*f(x) and x^2*f(x) only, so the two routes
 stay independent cross-checks of each other.
 
-scipy is imported on first use, inside the functions that need it: ``quad``
-by the quadrature of :func:`numeric_oracle`, ``ndtr``/``ndtri`` by the
-:class:`Gaussian` methods.  Importing this module (and the CLI) loads none of
-it, so a run on the other models never pays scipy's import.
+The Gaussian cdf and inverse cdf are Cephes' ``ndtr`` and ``ndtri``, the
+routines scipy.special runs, ported so that every value equals scipy's bit for
+bit: :func:`_ndtr` and :func:`_ndtri` in Python for scalars (the oracles and
+the ``u = 0`` mend), and the compiled ``_normal.c``, built on the first array
+:meth:`Gaussian.quantile` of a process, for the draws.  scipy is imported only
+where it is still used: ``quad`` by the quadrature of :func:`numeric_oracle`,
+and ``scipy.special.ndtri`` for array draws when ``_normal.c`` cannot be built.
+Importing this module (and the CLI) loads none of it, and neither does a run
+on any model.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import subprocess
+import threading
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from ._native import build_library
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -55,14 +65,20 @@ class Gaussian:
         return math.exp(-0.5 * z * z) / (self.stddev * _SQRT_2PI)
 
     def cdf(self, x: float) -> float:
-        from scipy.special import ndtr
-
-        return float(ndtr((x - self.mean) / self.stddev))
+        return _ndtr((float(x) - self.mean) / self.stddev)
 
     def quantile(self, u):
-        from scipy.special import ndtri
+        if isinstance(u, float):
+            return self.mean + self.stddev * _ndtri(float(u))
+        transform = _normal_transform()
+        if transform is None:
+            from scipy.special import ndtri
 
-        return self.mean + self.stddev * ndtri(u)
+            return self.mean + self.stddev * ndtri(u)
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        x = np.empty_like(u)
+        transform(u.size, u.ctypes.data, self.mean, self.stddev, x.ctypes.data)
+        return x
 
     def superquantile(self, alpha: float, theta: float) -> float:
         z = (theta - self.mean) / self.stddev
@@ -70,18 +86,14 @@ class Gaussian:
         return self.mean + self.stddev * phi / (1.0 - alpha)
 
     def tail_first_moment(self, t: float) -> float:
-        from scipy.special import ndtr
-
-        z = (t - self.mean) / self.stddev
-        q = float(ndtr(-z))
+        z = (float(t) - self.mean) / self.stddev
+        q = _ndtr(-z)
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
         return self.mean * q + self.stddev * phi
 
     def tail_second_moment(self, t: float) -> float:
-        from scipy.special import ndtr
-
-        z = (t - self.mean) / self.stddev
-        q = float(ndtr(-z))
+        z = (float(t) - self.mean) / self.stddev
+        q = _ndtr(-z)
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
         return (
             self.mean * self.mean * q
@@ -455,3 +467,168 @@ def substream(master_seed: int, experiment_id: int, replicate: int) -> np.random
     if master_seed < 0 or experiment_id < 0 or replicate < 0:
         raise ValueError("seed components must be nonnegative")
     return np.random.default_rng((int(master_seed), int(experiment_id), int(replicate)))
+
+
+# Cephes' normal cdf and its inverse (S. L. Moshier), the routines that
+# scipy.special.ndtr and ndtri run, ported operation for operation with
+# math.exp/log/sqrt, which are libm's, so each value equals scipy's bit for
+# bit.  A numpy-ufunc port would not: np.log rounds differently from libm's
+# log on some inputs where numpy vectorises it.  _normal.c holds the same
+# ndtri for arrays.
+
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_SQRT1_2 = 7.07106781186547524401e-1
+
+# erfc(x) = exp(-x^2) P(x) / Q(x) on 1 <= x < 8 and R(x) / S(x) on x >= 8;
+# erf(x) = x T(x^2) / U(x^2) on |x| < 1.  Q, S and U omit their leading 1.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+# ndtri: P0/Q0 on |u - 1/2| <= 1/2 - exp(-2); with z = sqrt(-2 log y) for the
+# nearer tail mass y, P1/Q1 on 2 <= z < 8 and P2/Q2 on z >= 8.  The Q lists
+# omit their leading 1.
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    # As _polevl with a leading coefficient 1 before ``coef``.
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal cdf at a Python float: Cephes' ndtr with the branches
+    of its erf and erfc that ndtr reaches written in place."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:  # 0.5 + 0.5 erf(x)
+        x2 = x * x
+        return 0.5 + 0.5 * (x * _polevl(x2, _ERF_T) / _p1evl(x2, _ERF_U))
+    # y = 0.5 erfc(z), read as 1 - y for x > 0
+    w = -z * z
+    if w < -_MAXLOG:
+        y = 0.0
+    elif z < 8.0:
+        y = 0.5 * ((math.exp(w) * _polevl(z, _ERFC_P)) / _p1evl(z, _ERFC_Q))
+    else:
+        y = 0.5 * ((math.exp(w) * _polevl(z, _ERFC_R)) / _p1evl(z, _ERFC_S))
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal cdf at a Python float; as _normal.c's
+    ndtri, operation for operation."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+_normal = _UNBUILT = object()
+_normal_lock = threading.Lock()
+
+
+def _normal_transform():
+    """``normal_quantile(n, u, mean, sd, x)`` of the compiled ``_normal.c``,
+    or None when it cannot be built.  It is built once per process, on the
+    first array :meth:`Gaussian.quantile`, which engine workers can make
+    concurrently."""
+    global _normal
+    with _normal_lock:
+        if _normal is _UNBUILT:
+            try:
+                transform = build_library("_normal").normal_quantile
+            except (OSError, subprocess.SubprocessError):
+                transform = None
+            else:
+                i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+                transform.argtypes = [i64, ptr, dbl, dbl, ptr]
+                transform.restype = None
+            _normal = transform
+    return _normal

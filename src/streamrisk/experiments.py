@@ -27,20 +27,17 @@ import contextlib
 import ctypes
 import math
 import os
-import shlex
 import subprocess
-import sysconfig
-import tempfile
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import asymptotics, distributions
+from ._native import build_library
 from .distributions import DistributionModel, RiskOracle, substream
 from .estimators import JointEstimatorState, run_stream
 from .schedules import StepSchedule
@@ -71,31 +68,19 @@ def _load_kernel():
 
 
 def _build_kernel():
-    # A private directory per process: no cache to invalidate or share.  The
-    # loaded library stays mapped after the directory is removed.
-    source = Path(__file__).with_name("_kernel.c")
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-        lib = os.path.join(tmp, "_kernel.so")
-        try:
-            subprocess.run(
-                [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", lib, str(source), "-lm"],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            kernel = ctypes.CDLL(lib)
-        except (OSError, subprocess.SubprocessError) as exc:
-            # The compiler's own message is in its stderr, not in str(exc).
-            detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()[-2000:]
-            warnings.warn(
-                f"replicate kernel not built ({exc}{': ' + detail if detail else ''}); "
-                "folding the scalar reference estimators.step over each replicate, "
-                "tens of times more slowly",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            return None
+    try:
+        kernel = build_library("_kernel")
+    except (OSError, subprocess.SubprocessError) as exc:
+        # The compiler's own message is in its stderr, not in str(exc).
+        detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()[-2000:]
+        warnings.warn(
+            f"replicate kernel not built ({exc}{': ' + detail if detail else ''}); "
+            "folding the scalar reference estimators.step over each replicate, "
+            "tens of times more slowly",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        return None
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     kernel.step_table.argtypes = [i64, i64, dbl, dbl, dbl, dbl, ptr, i64]
     kernel.advance.argtypes = [i64, i64, ptr, ptr, i64, dbl, dbl, ptr, i64, i64, ptr, ptr]

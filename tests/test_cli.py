@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,27 @@ def test_oracle_outside_float_range_exits_2(tmp_path, capsys, command, dist):
     argv = {"oracle": ["--dist", dist, "--alpha", "0.5"], "rates": ["--config", str(cfg), "--out", str(tmp_path)]}
     assert main([command, *argv[command]]) == 2
     assert "overflows float arithmetic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dist, alpha",
+    [
+        ("gaussian:0,1e308", "0.999"),
+        ("gaussian:0,1e308", "1e-300"),
+        ("gaussian:-1e308,1e308", "1e-300"),
+        ("gaussian:-1e308,1e308", "0.9999999999999999"),
+    ],
+)
+def test_gaussian_oracle_overflow_exits_2_without_warning(capsys, dist, alpha):
+    # The quantile overflows in Python float arithmetic, which gives inf
+    # without the RuntimeWarning a numpy scalar would print first.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["oracle", "--dist", dist, "--alpha", alpha]) == 2
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: theta_alpha of Gaussian") and err[0].endswith("overflows float arithmetic")
 
 
 class TestRatesCommand:

@@ -329,11 +329,11 @@ def test_step_table_that_differs_from_the_schedule_aborts(kernel):
         run_experiment(cfg)
 
 
-def test_kernel_compiles_without_warnings(tmp_path):
+@pytest.mark.parametrize("source", sorted(Path(ex.__file__).parent.glob("*.c")), ids=lambda p: p.name)
+def test_c_source_compiles_without_warnings(tmp_path, source):
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     if shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler {cc[0]!r} here")
-    source = Path(ex.__file__).with_name("_kernel.c")
     flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-fPIC", "-shared"]
     done = subprocess.run([*cc, *flags, "-o", str(tmp_path / "k.so"), str(source), "-lm"],
                           capture_output=True, text=True, timeout=120)
@@ -357,7 +357,7 @@ def test_failed_kernel_build_falls_back_to_scalar_reference(monkeypatch, model, 
         [sys.executable, "-c", f"import sys; sys.stderr.write({marker[::-1]!r}[::-1]); raise SystemExit(1)"]
     )
     monkeypatch.setattr(ex, "_kernel", ex._UNLOADED)
-    monkeypatch.setattr(ex.sysconfig, "get_config_var", lambda name: failing_cc)
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: failing_cc)
     with pytest.warns(RuntimeWarning, match="scalar reference") as record:
         runs = [run_experiment(cfg).estimates for _ in range(2)]
     assert len(record) == 1 and ex._kernel is None

@@ -1,8 +1,9 @@
 """Which scipy modules each command loads, checked in fresh interpreters.
 
-scipy's import costs several times a small run's engine time, so
-``streamrisk.distributions`` imports it only where it is used: ``quad`` for
-the quadrature oracle, ``ndtr``/``ndtri`` for the Gaussian model.
+scipy's import costs several times a small run's engine time, so no run on any
+model loads it: the Gaussian model's ``ndtr``/``ndtri`` are ports of scipy's
+own routines.  Only the ``oracle`` command loads ``scipy.integrate``, for its
+quadrature column.
 """
 
 import json
@@ -43,7 +44,7 @@ b = 1.0
 n_grid = 100,400
 replicates = 40
 master_seed = 3
-warm_start = true
+warm_start = {warm}
 """
 
 
@@ -58,9 +59,9 @@ def _fresh(body: str) -> tuple[object, set[str]]:
     return out["result"], set(out["scipy"])
 
 
-def _run_cli(tmp_path, command: str, dist: str) -> set[str]:
+def _run_cli(tmp_path, command: str, dist: str, warm: bool = True) -> set[str]:
     cfg = tmp_path / f"{command}.cfg"
-    cfg.write_text(CFG.format(dist=dist))
+    cfg.write_text(CFG.format(dist=dist, warm=str(warm).lower()))
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
     code, loaded = _fresh(f"result = cli.main({argv!r})\n")
     assert code == 0
@@ -80,11 +81,26 @@ def test_runs_on_other_models_load_no_scipy(tmp_path, command, dist):
     assert _run_cli(tmp_path, command, dist) == set()
 
 
-def test_gaussian_run_loads_only_special(tmp_path):
-    loaded = _run_cli(tmp_path, "clt", "gaussian mean=0 stddev=1")
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
-    assert (tmp_path / "clt" / "clt.csv").exists()
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("command, output", [("clt", "clt.csv"), ("rates", "mse.csv")])
+def test_gaussian_runs_load_no_scipy(tmp_path, command, output, warm):
+    # A cold start draws each replicate's theta_0 through quantile before the
+    # first chunk; a warm one reads the closed-form oracle.
+    assert _run_cli(tmp_path, command, "gaussian mean=0 stddev=1", warm) == set()
+    assert (tmp_path / command / output).exists()
+
+
+def test_gaussian_setup_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "setup.cfg"
+    cfg.write_text(CFG.format(dist="gaussian mean=0.5 stddev=2", warm="true"))
+    body = f"""\
+from streamrisk import config, distributions
+cfg = config.load_experiment_config({str(cfg)!r})
+result = distributions.oracle(cfg.model, cfg.alpha).theta_alpha
+"""
+    theta, loaded = _fresh(body)
+    assert theta == 0.5 + 2.0 * float(ndtri(0.9))
+    assert loaded == set()
 
 
 def test_gaussian_zero_draw_in_fresh_interpreter():
@@ -101,7 +117,7 @@ result = sample(Gaussian(1.0, 2.0), ZeroRng())
     x, loaded = _fresh(body)
     assert math.isfinite(x)
     assert x == 1.0 + 2.0 * float(ndtri(ZERO_DRAW))
-    assert "scipy.integrate" not in loaded
+    assert loaded == set()
 
 
 def test_oracle_command_works_for_every_model(tmp_path):

@@ -1,0 +1,138 @@
+"""The Gaussian model's ports of Cephes' ndtr and ndtri, pinned to scipy.special.
+
+Every value must equal scipy's, NaN for NaN: the scalar ``_ndtr`` and
+``_ndtri``, and the compiled ``_normal.c`` behind an array
+``Gaussian.quantile``.  The inputs sit on each branch switch of the routines
+and in both tails down to the smallest subnormal.
+"""
+
+import math
+import shlex
+import sys
+import sysconfig
+import threading
+import warnings
+
+import numpy as np
+import pytest
+from scipy.special import ndtr, ndtri
+
+from streamrisk import distributions
+from streamrisk.distributions import Gaussian, _ndtr, _ndtri
+
+MEAN_SD = [(0.0, 1.0), (0.5, 2.0)]
+
+
+def _same(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    differ = ~((got == want) | (np.isnan(got) & np.isnan(want)))
+    assert not differ.any(), f"{int(differ.sum())} differ, first at input index {np.argwhere(differ)[0]}"
+
+
+def _neighbours(x: float, k: int = 200) -> list[float]:
+    """x and its k nearest floats on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _ndtr_inputs() -> np.ndarray:
+    rng = np.random.default_rng(20261019)
+    points = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    # |a| sqrt(1/2) = 1 switches erf to erfc, 8 switches erfc's P/Q to R/S,
+    # and a^2 / 2 = MAXLOG underflows erfc's exp(-z^2) to 0.
+    for z in (1.0, 8.0, math.sqrt(distributions._MAXLOG)):
+        a = z / distributions._SQRT1_2
+        points += _neighbours(a) + _neighbours(-a)
+    points += list(rng.normal(0.0, 4.0, 50_000)) + list(rng.uniform(-40.0, 40.0, 50_000))
+    return np.array(points)
+
+
+def _ndtri_inputs(tail_draws: int) -> np.ndarray:
+    rng = np.random.default_rng(20261020)
+    e2, e32 = distributions._EXP_M2, math.exp(-32.0)
+    points = [0.0, 1.0, 2.0**-54, 2.0**-53, 1.0 - 2.0**-53, 5e-324, 2.0**-1022, -0.5, 1.5, math.nan]
+    # exp(-2) and 1 - exp(-2) switch the central to the tail approximation,
+    # exp(-32) the tail's P1/Q1 to P2/Q2.
+    for y in (e2, 1.0 - e2, e32, 1.0 - e32):
+        points += _neighbours(y)
+    tails = np.exp(-rng.uniform(0.0, 745.0, tail_draws))  # log-uniform down to the subnormals
+    return np.concatenate([points, tails, 1.0 - tails[: tail_draws // 4]])
+
+
+def test_scalar_ndtr_equals_scipy():
+    x = _ndtr_inputs()
+    _same([_ndtr(float(a)) for a in x], ndtr(x))
+
+
+def test_scalar_ndtri_equals_scipy():
+    u = np.concatenate([_ndtri_inputs(50_000), np.random.default_rng(3).random(50_000)])
+    _same([_ndtri(float(y)) for y in u], ndtri(u))
+
+
+@pytest.mark.parametrize("mean, sd", MEAN_SD)
+def test_scalar_quantile_equals_scipy(mean, sd):
+    u = _ndtri_inputs(2_000)
+    got = [Gaussian(mean, sd).quantile(float(y)) for y in u]
+    assert all(type(x) is float for x in got)
+    _same(got, mean + sd * ndtri(u))
+
+
+@pytest.mark.parametrize("mean, sd", MEAN_SD)
+def test_compiled_quantile_equals_scipy(mean, sd):
+    u = np.concatenate([_ndtri_inputs(200_000), np.random.default_rng(4).random(1_000_000)])
+    _same(Gaussian(mean, sd).quantile(u), mean + sd * ndtri(u))
+    assert distributions._normal is not None
+
+
+def test_compiled_quantile_keeps_shape_and_reads_any_layout():
+    u = np.random.default_rng(5).random((7, 40))
+    g = Gaussian(3.5, 0.25)
+    for view in (u, u.T, u[:, ::3], u.tolist()):
+        x = g.quantile(view)
+        _same(x, 3.5 + 0.25 * ndtri(np.asarray(view)))
+
+
+def test_unbuildable_transform_falls_back_to_scipy_without_warning(monkeypatch):
+    failing_cc = shlex.join([sys.executable, "-c", "raise SystemExit(1)"])
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: failing_cc)
+    monkeypatch.setattr(distributions, "_normal", distributions._UNBUILT)
+    u = np.concatenate([_ndtri_inputs(10_000), np.random.default_rng(6).random(100_000)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x = Gaussian(0.5, 2.0).quantile(u)
+    assert caught == []
+    assert distributions._normal is None
+    _same(x, 0.5 + 2.0 * ndtri(u))
+
+
+def test_transform_built_once_across_threads(monkeypatch):
+    # Engine workers can make a process's first array quantile concurrently.
+    builds = []
+
+    def counting_build(stem):
+        builds.append(stem)
+        return real_build(stem)
+
+    real_build = distributions.build_library
+    monkeypatch.setattr(distributions, "build_library", counting_build)
+    monkeypatch.setattr(distributions, "_normal", distributions._UNBUILT)
+    u = np.random.default_rng(7).random((4, 1000))
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def worker(i):
+        start.wait()
+        results[i] = Gaussian(0.0, 1.0).quantile(u[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert builds == ["_normal"]
+    for i in range(4):
+        _same(results[i], ndtri(u[i]))
