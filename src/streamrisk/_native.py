@@ -5,7 +5,8 @@ interpreter's C compiler, into a private directory per process: no cache to
 invalidate or share.  The loaded library stays mapped after the directory is
 removed.  The flags keep floating-point contraction off, and no flag lets
 the compiler replace a libm call, so the compiled arithmetic rounds as the
-Python reference it mirrors does.
+Python reference it mirrors does.  The sources' vector-extension arithmetic
+is IEEE per element, so these flags keep it bit-exact too.
 """
 
 from __future__ import annotations

@@ -3,14 +3,15 @@ empirical CLT covariances, and paired variant comparison.
 
 Replicates advance in a small C kernel (``_kernel.c``), compiled with the
 interpreter's C compiler on first use and loaded through ``ctypes``, which
-releases the GIL.  The kernel walks one replicate at a time through a chunk
-of steps with the arithmetic of :func:`streamrisk.estimators.step`, operation
-for operation, so a replicate is bit-identical to running its stream through
-the scalar recursion.  One chunk-major loop drives it: the calling thread has
-the kernel fill the chunk's step table (the gains and Cesaro weights that all
-replicates share), checks its first gains against the schedule, and fans the
-chunk's 32-replicate sub-blocks out to a pool of workers, joining them
-before the next chunk; a run starts no more workers than its ``threads``, the
+releases the GIL.  The kernel walks replicates two at a time, one per half
+of a SIMD vector, through a chunk of steps with the arithmetic of
+:func:`streamrisk.estimators.step`, operation for operation and without a
+branch on the data, so a replicate is bit-identical to running its stream
+through the scalar recursion.  One chunk-major loop drives it: the calling
+thread has the kernel fill the chunk's step table (the gains and Cesaro
+weights that all replicates share), checks its first gains against the
+schedule, and fans the chunk's 32-replicate sub-blocks out to a pool of
+workers, joining them before the next chunk; a run starts no more workers than its ``threads``, the
 CPUs it may use, or its sub-blocks.  No Python runs per step.  When no
 compiler works, the same loop folds the scalar recursion over each replicate
 in the kernel's place, after one ``RuntimeWarning``: the same results, tens of
@@ -52,6 +53,11 @@ ESTIMATOR_KEYS = ("theta", "theta_bar") + VARIANT_KEYS
 # one thread per sub-block.
 _KERNEL_LANES = 32
 _KERNEL_STEPS = 4096
+
+# Memory a run holds per replicate whatever its length: the generator (about
+# 1 KB, traced) and five float64 estimators per checkpoint.
+_GENERATOR_BYTES = 1024
+_CHECKPOINT_BYTES = 5 * 8
 
 _UNLOADED = object()
 _kernel = _UNLOADED
@@ -192,6 +198,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None) -> Expe
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     workers = min(threads, cpus, -(-config.replicates // _KERNEL_LANES))
+    _check_memory(config)
     oracle = distributions.oracle(config.model, config.alpha)
     rngs = [substream(config.master_seed, config.experiment_id, r) for r in range(config.replicates)]
     estimates = _simulate_block(config, oracle, rngs, workers)
@@ -200,6 +207,27 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None) -> Expe
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(config: ExperimentConfig) -> None:
+    """Refuse a replicate count whose generators and checkpoint results alone
+    exceed physical memory, before seeding any of them."""
+    per_replicate = _GENERATOR_BYTES + _CHECKPOINT_BYTES * len(config.n_grid)
+    need, have = config.replicates * per_replicate, _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"replicates = {config.replicates} needs about {need / 2**30:.1f} GiB "
+            f"({per_replicate} bytes per replicate: its generator and {len(config.n_grid)} "
+            f"checkpoints), more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _simulate_block(

@@ -151,6 +151,14 @@ class TestRatesCommand:
         assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
         assert "threads must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_replicates_beyond_physical_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_physical_memory", lambda: 1024)
+        cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)
+        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: replicates = 2 needs about") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "mse.csv").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = _write(tmp_path, "golden.cfg", GOLDEN_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"

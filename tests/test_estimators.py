@@ -234,6 +234,25 @@ def test_kernel_matches_scalar_stream(model, warm, replicates, n_grid):
             assert tuple(block[key][k, r] for key in ex.ESTIMATOR_KEYS) == row
 
 
+# The kernel advances lanes in pairs; an odd last lane rides alone in its pair.
+@pytest.mark.parametrize("replicates", [2, 3, ex._KERNEL_LANES + 1, ex._KERNEL_LANES + 3])
+@pytest.mark.parametrize(
+    "model, alpha, warm", [(sr.Uniform(0, 1), 0.5, False), (sr.Pareto(1.0, 2.2), 0.9, True)], ids=["Uniform", "Pareto"]
+)
+def test_kernel_matches_scalar_stream_on_every_lane(model, alpha, warm, replicates):
+    # Checkpoints on and next to the first chunk boundary check the state that
+    # each pair writes back and reads again in the next chunk.
+    n_grid = (3, _KERNEL_CHUNK - 1, _KERNEL_CHUNK, _KERNEL_CHUNK + 2)
+    cfg = ExperimentConfig(model=model, alpha=alpha, schedule=FAST, n_grid=n_grid, replicates=replicates,
+                           master_seed=2718, warm_start=warm)
+    oracle = sr.oracle(model, alpha)
+    block = _simulate_block(cfg, oracle, [substream(2718, 0, r) for r in range(replicates)])
+    for r in range(replicates):
+        rows = _scalar_rows(model, alpha, FAST, oracle, warm, 2718, r, n_grid)
+        for k, row in enumerate(rows):
+            assert tuple(block[key][k, r] for key in ex.ESTIMATOR_KEYS) == row, (r, n_grid[k])
+
+
 @st.composite
 def _engine_cases(draw):
     a_exp = draw(st.floats(0.51, 0.95))

@@ -1,4 +1,5 @@
 import math
+import os
 import shlex
 import shutil
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import streamrisk as sr
 from streamrisk import experiments as ex
 from streamrisk.distributions import ZERO_DRAW, sample, substream
-from streamrisk.estimators import init, step
+from streamrisk.estimators import JointEstimatorState, init, step
 from streamrisk.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -96,6 +97,26 @@ class TestRunExperiment:
         res = run_experiment(small_config())
         assert set(res.estimates) == {"theta", "theta_bar", "embedded", "classical", "bardou"}
         assert res.estimates["theta"].shape == (2, 8)
+
+    def test_replicates_beyond_physical_memory_fail_before_seeding(self, monkeypatch):
+        # 8 replicates at 2 checkpoints: 8 * (1024 + 2 * 40) bytes, one more than the memory.
+        monkeypatch.setattr(ex, "_physical_memory", lambda: 8 * 1104 - 1)
+        monkeypatch.setattr(ex, "substream", lambda *seed: pytest.fail(f"seeded {seed}"))
+        with pytest.raises(ValueError, match=r"^replicates = 8 needs about 0\.0 GiB \(1104 bytes per replicate: "
+                                             r"its generator and 2 checkpoints\), more than the 0\.0 GiB of "
+                                             r"physical memory$"):
+            run_experiment(small_config())
+
+    @pytest.mark.parametrize("memory", [8 * 1104, None])
+    def test_replicates_within_or_without_known_memory_run(self, monkeypatch, memory):
+        monkeypatch.setattr(ex, "_physical_memory", lambda: memory)
+        assert run_experiment(small_config()).estimates["theta"].shape == (2, 8)
+
+    def test_physical_memory_from_sysconf(self):
+        if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
+            pytest.skip("no physical memory figure on this platform")
+        memory = ex._physical_memory()
+        assert isinstance(memory, int) and memory > 0
 
     def test_thread_count_does_not_change_values(self, monkeypatch):
         # Three sub-blocks, the last of 5 lanes, on three CPUs: threads=3 and
@@ -276,6 +297,24 @@ def kernel():
     return kernel
 
 
+def test_kernel_draw_equal_to_an_iterate_counts_as_not_above(kernel):
+    # Continuous draws never tie, so the differential tests cannot see which
+    # side of a comparison a tie takes: x = theta must count as x <= theta.
+    lanes, n, alpha = 3, 5, 0.5
+    state = np.array([[0.5, 0.5, 0.25], [0.5, 0.3, 0.25], [1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [1.0, 1.0, 0.5]])
+    x = np.array([0.5, 0.5, 0.25])  # lane 0 ties theta and theta_bar, lane 1 theta, lane 2 both
+    table = np.empty((4, 1))
+    kernel.step_table(1, n, FAST.a1, FAST.a_exp, FAST.b1, FAST.b_exp, table.ctypes.data, 1)
+    want = []
+    for lane in range(lanes):
+        st_ = JointEstimatorState(alpha, FAST, n, *state[:, lane].tolist())
+        step(st_, float(x[lane]))
+        want.append((st_.theta, st_.theta_bar, st_.sq_embedded, st_.sq_classical, st_.sq_bardou))
+    kernel.advance(lanes, 1, x.ctypes.data, table.ctypes.data, 1, alpha, 1.0 / (1.0 - alpha),
+                   state.ctypes.data, lanes, 0, None, None)
+    assert state.T.tolist() == [list(row) for row in want]
+
+
 def test_chunk_memory_stays_within_budget(kernel):
     # 4096 replicates through one full kernel chunk and one more step.  The
     # kernel draws one sub-block (_KERNEL_LANES, _KERNEL_STEPS) at a time, so
@@ -335,6 +374,12 @@ def test_c_source_compiles_without_warnings(tmp_path, source):
     if shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler {cc[0]!r} here")
     flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-fPIC", "-shared"]
+    # The sources' vectors must map to the target's registers: gcc lowers a
+    # wider vector piecewise, much more slowly than the scalar code.
+    macros = subprocess.run([*cc, "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True,
+                            timeout=120).stdout
+    if "__GNUC__" in macros and "__clang__" not in macros:
+        flags.append("-Wvector-operation-performance")
     done = subprocess.run([*cc, *flags, "-o", str(tmp_path / "k.so"), str(source), "-lm"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -3,15 +3,19 @@
 Every value must equal scipy's, NaN for NaN: the scalar ``_ndtr`` and
 ``_ndtri``, and the compiled ``_normal.c`` behind an array
 ``Gaussian.quantile``.  The inputs sit on each branch switch of the routines
-and in both tails down to the smallest subnormal.
+and in both tails down to the smallest subnormal.  The compiled transform,
+which works in blocks, is also pinned at lengths around its block size, with
+the draws its vector passes leave to its scalar routine at any position.
 """
 
 import math
+import re
 import shlex
 import sys
 import sysconfig
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +140,49 @@ def test_transform_built_once_across_threads(monkeypatch):
     assert builds == ["_normal"]
     for i in range(4):
         _same(results[i], ndtri(u[i]))
+
+
+# The compiled transform works in blocks of _BLOCK draws: central pass on every
+# draw, then the compacted tails, then the scalar far_tail on the few left over.
+_BLOCK = int(re.search(r"#define BLOCK (\d+)", Path(distributions.__file__).with_name("_normal.c").read_text())[1])
+_E2 = distributions._EXP_M2
+# Each left to far_tail: 0, 1, NaN, out of [0, 1], subnormal, and
+# y <= exp(-32) in either tail (x = sqrt(-2 log y) >= 8).
+_SPECIAL = [0.0, 1.0, math.nan, -0.1, 1.1, -0.0, 5e-324, 2.0**-1030, 1e-20, math.exp(-32.0), 1.0 - 1e-15]
+
+
+def _pin_block_transform(u, mean=0.5, sd=2.0):
+    assert distributions._normal_transform() is not None
+    x = Gaussian(mean, sd).quantile(u)
+    _same(x, mean + sd * ndtri(u))
+    _same(x, [mean + sd * _ndtri(float(y)) for y in u])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1])
+def test_block_transform_at_every_length(n):
+    _pin_block_transform(np.random.default_rng(n).random(n))
+
+
+@pytest.mark.parametrize("value", _SPECIAL, ids=repr)
+def test_block_transform_special_value_at_any_position(value):
+    # First, last, odd and even positions of the first and second blocks, among
+    # uniform draws that mix central and tail ones.
+    positions = [0, 1, 2, 129, 130, _BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK]
+    for p in positions:
+        u = np.random.default_rng(p).random(2 * _BLOCK + 1)
+        u[p] = value
+        _pin_block_transform(u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("kind", ["central", "lower", "upper", "both-tails", "all-special"])
+def test_block_transform_runs_of_one_kind(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "central":
+        u = rng.uniform(_E2, 1.0 - _E2, n)
+        u[0], u[-1] = 1.0 - _E2, math.nextafter(_E2, 1.0)  # the two ends of the central range
+    else:
+        tails = np.exp(-rng.uniform(2.0, 40.0, n))  # some y <= exp(-32) among them
+        u = {"lower": tails, "upper": 1.0 - tails, "both-tails": np.where(rng.random(n) < 0.5, tails, 1.0 - tails),
+             "all-special": rng.choice(_SPECIAL, n)}[kind]
+    _pin_block_transform(u)
