@@ -1,12 +1,17 @@
-"""Build and load the package's C sources through ``ctypes``.
+"""Build and load the package's C sources through ``ctypes``: :func:`load`.
 
 Each library is compiled from its source next to this file with the
-interpreter's C compiler, into a private directory per process: no cache to
-invalidate or share.  The loaded library stays mapped after the directory is
-removed.  The flags keep floating-point contraction off, and no flag lets
-the compiler replace a libm call, so the compiled arithmetic rounds as the
-Python reference it mirrors does.  The sources' vector-extension arithmetic
-is IEEE per element, so these flags keep it bit-exact too.
+interpreter's C compiler, on the first :func:`load` of a process and never at
+import, into a private directory: no cache to invalidate or share.  The loaded
+library stays mapped after the directory is removed.  The flags keep
+floating-point contraction off, and no flag lets the compiler replace a libm
+call, so the compiled arithmetic rounds as the Python reference it mirrors
+does.  The sources' vector-extension arithmetic is IEEE per element, so these
+flags keep it bit-exact too.
+
+A library that cannot be built is reported by one ``RuntimeWarning`` per
+process and read as None, and its caller runs its scalar Python reference
+instead: the same values, more slowly.
 """
 
 from __future__ import annotations
@@ -17,21 +22,52 @@ import shlex
 import subprocess
 import sysconfig
 import tempfile
+import threading
+import warnings
 from pathlib import Path
 
+_lock = threading.Lock()
+_loaded: dict[str, ctypes.CDLL | None] = {}
 
-def build_library(stem: str) -> ctypes.CDLL:
-    """Compile ``<stem>.c`` and load it; raises ``OSError`` or
-    ``subprocess.SubprocessError`` (with the compiler's stderr) when the
-    library cannot be built or loaded."""
-    source = Path(__file__).with_name(f"{stem}.c")
+
+def load(stem: str, fallback: str, **signatures) -> ctypes.CDLL | None:
+    """The library built from ``<stem>.c``, or None when it cannot be built.
+
+    It is built once per process, even when several threads ask at once.
+    Each keyword names one of its functions and gives its ``argtypes`` (its
+    ``restype`` is None); they are set when the library is built.  A failed
+    build warns once, quoting the compiler's error and saying ``fallback``:
+    what runs in the library's place."""
+    with _lock:
+        if stem not in _loaded:
+            _loaded[stem] = _build(stem, fallback, signatures)
+        return _loaded[stem]
+
+
+def compile_command(stem: str, output: str) -> list[str]:
+    """The compiler command that builds ``<stem>.c`` into ``output``."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-        lib = os.path.join(tmp, f"{stem}.so")
-        subprocess.run(
-            [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", lib, str(source), "-lm"],
-            check=True,
-            capture_output=True,
-            timeout=120,
+    source = Path(__file__).with_name(f"{stem}.c")
+    return [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", output, str(source), "-lm"]
+
+
+def _build(stem: str, fallback: str, signatures: dict) -> ctypes.CDLL | None:
+    try:
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+            output = os.path.join(tmp, f"{stem}.so")
+            subprocess.run(compile_command(stem, output), check=True, capture_output=True, timeout=120)
+            library = ctypes.CDLL(output)
+    except (OSError, subprocess.SubprocessError) as exc:
+        # The compiler's own message is in its stderr, not in str(exc).
+        detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()[-2000:]
+        warnings.warn(
+            f"native library {stem} not built ({exc}{': ' + detail if detail else ''}); {fallback}",
+            RuntimeWarning,
+            stacklevel=3,
         )
-        return ctypes.CDLL(lib)
+        return None
+    for name, argtypes in signatures.items():
+        function = getattr(library, name)
+        function.argtypes = argtypes
+        function.restype = None
+    return library

@@ -1,12 +1,12 @@
 /* Gaussian inverse-cdf transform of streamrisk.distributions.
  *
  * normal_quantile writes x[i] = mean + sd * ndtri(u[i]) for i < n, where
- * ndtri is Cephes' inverse of the standard normal cdf (S. L. Moshier), the
- * routine scipy.special.ndtri runs.  Operation for operation it is that
- * routine, and distributions._ndtri, with libm's log and sqrt, so the file
- * must be compiled without floating-point contraction (-ffp-contract=off) and
- * without any flag that lets the compiler replace log or sqrt (-ffast-math,
- * vector math libraries): either changes the last bit of some draws.
+ * ndtri is Cephes' inverse of the standard normal cdf (S. L. Moshier).
+ * Operation for operation it is that routine, and distributions._ndtri, with
+ * libm's log and sqrt, so the file must be compiled without floating-point
+ * contraction (-ffp-contract=off) and without any flag that lets the compiler
+ * replace log or sqrt (-ffast-math, vector math libraries): either changes the
+ * last bit of some draws.
  *
  * ndtri(0) = -inf, ndtri(1) = inf, and u outside [0, 1] or NaN gives NaN.
  * The draws go in blocks of BLOCK, with no branch on a draw's value: every draw
@@ -15,7 +15,7 @@
  * are then compacted and redone, their log and sqrt in a scalar loop, their
  * P1/Q1 polynomials two per vector.  The scalar far_tail redoes the few draws
  * those passes leave over: 0, 1, NaN, values outside [0, 1], and y <= exp(-32).
- * The tests pin every path to distributions._ndtri and scipy.special.ndtri.
+ * The tests pin every path to distributions._ndtri and to Cephes' own ndtri.
  * The vector polynomial loops are unrolled: at -O2 gcc keeps them as loops,
  * which costs about 3-4 ns of the 14-19 ns a draw takes.
  */

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RiskOracle
+from .distributions import RiskOracle, finite
 from .schedules import StepSchedule
 
 VERDICT_EMBEDDED = "embedded_better"
@@ -28,11 +28,17 @@ VERDICT_BOUNDARY = "boundary"
 VERDICT_DEGENERATE = "degenerate"
 
 
+def quantile_clt_variance(oracle: RiskOracle) -> float:
+    """Limiting variance of sqrt(n) (theta_bar - theta): alpha (1-alpha) / f^2."""
+    f = oracle.density_at_quantile
+    return finite("quantile_clt_var", lambda: oracle.alpha * (1.0 - oracle.alpha) / (f * f))
+
+
 def clt_variance_slow(oracle: RiskOracle) -> float:
     """Limiting variance of b_n^(-1/2) (sq - truth) in the slow regime b < 1:
     v_alpha / (2 (1-alpha)^2)."""
     one_m = 1.0 - oracle.alpha
-    return oracle.v_alpha / (2.0 * one_m * one_m)
+    return finite("sq_var_slow", lambda: oracle.v_alpha / (2.0 * one_m * one_m))
 
 
 def clt_covariance_fast(oracle: RiskOracle, b1: float) -> np.ndarray:
@@ -44,11 +50,13 @@ def clt_covariance_fast(oracle: RiskOracle, b1: float) -> np.ndarray:
     one_m = 1.0 - alpha
     f = oracle.density_at_quantile
     gap = oracle.vartheta_alpha - oracle.theta_alpha
-    s11 = alpha * one_m / (f * f)
-    s12 = alpha * gap / f
-    s22 = (b1 * b1 / (2.0 * b1 - 1.0)) * oracle.v_alpha / (one_m * one_m) - (
-        2.0 * b1 / (2.0 * b1 - 1.0)
-    ) * alpha * oracle.theta_alpha * gap / one_m
+    s11 = quantile_clt_variance(oracle)
+    s12 = finite("s2_12", lambda: alpha * gap / f)
+    s22 = finite(
+        "s2_22",
+        lambda: (b1 * b1 / (2.0 * b1 - 1.0)) * oracle.v_alpha / (one_m * one_m)
+        - (2.0 * b1 / (2.0 * b1 - 1.0)) * alpha * oracle.theta_alpha * gap / one_m,
+    )
     if s22 < 0.0:
         raise ValueError(
             "oracle yields a negative limiting variance "
@@ -105,9 +113,13 @@ def c_alpha_b1(oracle: RiskOracle, b1: float) -> float:
     alpha = oracle.alpha
     one_m = 1.0 - alpha
     f = oracle.density_at_quantile
-    lead = 4.0 * b1 * b1 * alpha * one_m / ((2.0 * b1 - 1.0) ** 2 * f * f)
-    inner = 1.0 + oracle.v_alpha * f * f * (2.0 * b1 - 1.0) / (4.0 * alpha * one_m**3)
-    return lead * (1.0 + math.sqrt(inner)) ** 2
+
+    def constant() -> float:
+        lead = 4.0 * b1 * b1 * alpha * one_m / ((2.0 * b1 - 1.0) ** 2 * f * f)
+        inner = 1.0 + oracle.v_alpha * f * f * (2.0 * b1 - 1.0) / (4.0 * alpha * one_m**3)
+        return lead * (1.0 + math.sqrt(inner)) ** 2
+
+    return finite("c_alpha_b1", constant)
 
 
 def mse_bound_embedded(oracle: RiskOracle, schedule: StepSchedule, n: int) -> float:
@@ -187,16 +199,17 @@ def variance_comparison(oracle: RiskOracle, b1: float, b_exp: float) -> Comparis
     one_m = 1.0 - alpha
     theta = oracle.theta_alpha
     vartheta = oracle.vartheta_alpha
-    tau_sq = oracle.v_alpha / (one_m * one_m) - (alpha * theta / one_m) * (
-        2.0 * vartheta - theta
+    tau_sq = finite(
+        "tau_alpha_sq",
+        lambda: oracle.v_alpha / (one_m * one_m) - (alpha * theta / one_m) * (2.0 * vartheta - theta),
     )
     if b_exp == 1.0:
-        gamma = b1 * b1 * tau_sq / (2.0 * b1 - 1.0)
+        gamma = finite("gamma_vartheta", lambda: b1 * b1 * tau_sq / (2.0 * b1 - 1.0))
         embedded = float(clt_covariance_fast(oracle, b1)[1, 1])
     else:
-        gamma = b1 * tau_sq / 2.0
-        embedded = b1 * clt_variance_slow(oracle)
-    threshold = 1.0 - theta / (2.0 * vartheta - theta)
+        gamma = finite("gamma_vartheta", lambda: b1 * tau_sq / 2.0)
+        embedded = finite("embedded_variance", lambda: b1 * clt_variance_slow(oracle))
+    threshold = finite("b1_threshold", lambda: 1.0 - theta / (2.0 * vartheta - theta))
     degenerate = theta <= 0.0 or vartheta <= theta
 
     if degenerate:
@@ -243,12 +256,10 @@ class AsymptoticReport:
 
 
 def report(oracle: RiskOracle, schedule: StepSchedule) -> AsymptoticReport:
-    alpha = oracle.alpha
-    f = oracle.density_at_quantile
     comparison = variance_comparison(oracle, schedule.b1, schedule.b_exp)
     fast_ok = schedule.b1 > 0.5
     return AsymptoticReport(
-        quantile_clt_var=alpha * (1.0 - alpha) / (f * f),
+        quantile_clt_var=quantile_clt_variance(oracle),
         sq_var_slow=clt_variance_slow(oracle),
         s2=clt_covariance_fast(oracle, schedule.b1) if fast_ok else None,
         c_alpha_b1=c_alpha_b1(oracle, schedule.b1) if fast_ok else None,

@@ -230,12 +230,7 @@ def _cmd_clt(args) -> int:
         theory = (s2[0, 0], s2[0, 1], s2[1, 1])
     else:
         s2 = None
-        f = oracle.density_at_quantile
-        theory = (
-            oracle.alpha * (1.0 - oracle.alpha) / (f * f),
-            None,
-            asymptotics.clt_variance_slow(oracle),
-        )
+        theory = (asymptotics.quantile_clt_variance(oracle), None, asymptotics.clt_variance_slow(oracle))
     result = run_experiment(cfg, threads=args.threads)
     out = _out_dir(args)
     comments = ["streamrisk clt; " + config_summary(cfg)]

@@ -10,29 +10,29 @@ while :func:`numeric_oracle` recomputes the same structure by bisection on the
 cdf and adaptive quadrature of x*f(x) and x^2*f(x) only, so the two routes
 stay independent cross-checks of each other.
 
-The Gaussian cdf and inverse cdf are Cephes' ``ndtr`` and ``ndtri``, the
-routines scipy.special runs, ported so that every value equals scipy's bit for
-bit: :func:`_ndtr` and :func:`_ndtri` in Python for scalars (the oracles and
-the ``u = 0`` mend), and the compiled ``_normal.c``, built on the first array
-:meth:`Gaussian.quantile` of a process, for the draws.  scipy is imported only
-where it is still used: ``quad`` by the quadrature of :func:`numeric_oracle`,
-and ``scipy.special.ndtri`` for array draws when ``_normal.c`` cannot be built.
-Importing this module (and the CLI) loads none of it, and neither does a run
-on any model.
+The Gaussian cdf and inverse cdf are Cephes' ``ndtr`` and ``ndtri``, ported
+operation for operation so that every value equals Cephes' own bit for bit:
+:func:`_ndtr` and :func:`_ndtri` in Python for scalars (the oracles and the
+``u = 0`` mend), and the compiled ``_normal.c``, built through
+:func:`streamrisk._native.load` on the first array :meth:`Gaussian.quantile`
+of a process, for the draws.  When it cannot be built, array draws go through
+:func:`_ndtri` one by one, after one ``RuntimeWarning``: the same values,
+about 2 us a draw instead of 15 ns.  Only the quadrature of
+:func:`numeric_oracle` imports a library beyond numpy (``quad``, on first
+use): importing this module (and the CLI) does not, and neither does a run on
+any model.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import subprocess
-import threading
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from ._native import build_library
+from ._native import load
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -45,6 +45,15 @@ _TAIL_EPS = 1e-13
 # Read in place of a u = 0 draw whose inverse-cdf transform is non-finite; it
 # is half the smallest positive value rng.random() returns (2**-53).
 ZERO_DRAW = 2.0**-54
+
+# The Gaussian's compiled transform, as _native.load takes it: the C signature
+# of x[i] = mean + sd * ndtri(u[i]), and what runs in its place when it cannot
+# be built.
+_NORMAL = dict(
+    stem="_normal",
+    fallback="Gaussian draws go through the scalar reference _ndtri, about 2 microseconds each",
+    normal_quantile=[ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p],
+)
 
 
 class QuadratureError(RuntimeError):
@@ -70,14 +79,13 @@ class Gaussian:
     def quantile(self, u):
         if isinstance(u, float):
             return self.mean + self.stddev * _ndtri(float(u))
-        transform = _normal_transform()
-        if transform is None:
-            from scipy.special import ndtri
-
-            return self.mean + self.stddev * ndtri(u)
         u = np.ascontiguousarray(u, dtype=np.float64)
+        library = load(**_NORMAL)
+        if library is None:
+            x = [self.mean + self.stddev * _ndtri(y) for y in u.ravel().tolist()]
+            return np.array(x, dtype=np.float64).reshape(u.shape)
         x = np.empty_like(u)
-        transform(u.size, u.ctypes.data, self.mean, self.stddev, x.ctypes.data)
+        library.normal_quantile(u.size, u.ctypes.data, self.mean, self.stddev, x.ctypes.data)
         return x
 
     def superquantile(self, alpha: float, theta: float) -> float:
@@ -103,6 +111,8 @@ class Gaussian:
 
     def _quantile_bracket(self, alpha: float) -> tuple[float, float]:
         lo, hi = self.mean - self.stddev, self.mean + self.stddev
+        if not lo < hi:  # the widening below would never move
+            raise QuadratureError(f"stddev {self.stddev!r} is below the float spacing at mean {self.mean!r}")
         while self.cdf(lo) >= alpha:
             lo -= hi - lo
         while self.cdf(hi) <= alpha:
@@ -286,30 +296,36 @@ class RiskOracle:
             raise ValueError(f"v_alpha must be nonnegative, got {self.v_alpha}")
 
 
+def finite(what: str, formula, *args) -> float:
+    """``formula(*args)`` as a float, or a ValueError saying that ``what``
+    overflows float arithmetic: a float ``**`` that overflows, a divisor that
+    underflows to zero, or an inf or NaN value."""
+    try:
+        value = float(formula(*args))
+    except ArithmeticError:  # float ** raises OverflowError, / ZeroDivisionError
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows float arithmetic")
+    return value
+
+
 def oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     """Closed-form risk oracle for a supported model at level ``alpha``; a
     ValueError names the first quantity whose closed form overflows."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-
-    def finite(name: str, method, *args) -> float:
-        try:
-            value = float(method(*args))
-        except ArithmeticError:  # float ** raises OverflowError, / ZeroDivisionError
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"{name} of {model} at alpha = {alpha!r} overflows float arithmetic")
-        return value
-
-    theta = finite("theta_alpha", model.quantile, alpha)
-    vartheta = finite("vartheta_alpha", model.superquantile, alpha, theta)
-    e1 = finite("tail first moment", model.tail_first_moment, theta)
-    e2 = finite("tail second moment", model.tail_second_moment, theta)
+    where = f"of {model} at alpha = {alpha!r}"
+    with np.errstate(all="ignore"):  # numpy scalars overflow quietly; finite() reports it
+        theta = finite(f"theta_alpha {where}", model.quantile, alpha)
+        vartheta = finite(f"vartheta_alpha {where}", model.superquantile, alpha, theta)
+        e1 = finite(f"tail first moment {where}", model.tail_first_moment, theta)
+        e2 = finite(f"tail second moment {where}", model.tail_second_moment, theta)
+        density = finite(f"density_at_quantile {where}", model.pdf, theta)
     return RiskOracle(
         alpha=alpha,
         theta_alpha=theta,
         vartheta_alpha=vartheta,
-        density_at_quantile=finite("density_at_quantile", model.pdf, theta),
+        density_at_quantile=density,
         v_alpha=e2 - e1 * e1,
     )
 
@@ -319,20 +335,24 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
 
     Deliberately avoids the closed-form tail moments and the inverse cdf
     (except to place the finite/infinite split point of the tail integral), so
-    it can serve as an independent check of :func:`oracle`.
+    it can serve as an independent check of :func:`oracle`.  A quantity that
+    comes out non-finite raises :class:`QuadratureError`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     theta = _bisect_quantile(model, alpha)
     e1 = _tail_integral(model, theta, power=1)
     e2 = _tail_integral(model, theta, power=2)
-    return RiskOracle(
-        alpha=alpha,
+    quantities = dict(
         theta_alpha=theta,
         vartheta_alpha=e1 / (1.0 - alpha),
         density_at_quantile=_fd_density(model, theta),
         v_alpha=e2 - e1 * e1,
     )
+    for name, value in quantities.items():
+        if not math.isfinite(value):
+            raise QuadratureError(f"{name} of {model} at alpha = {alpha!r} is {value} by quadrature")
+    return RiskOracle(alpha=alpha, **quantities)
 
 
 def _bisect_quantile(
@@ -469,12 +489,11 @@ def substream(master_seed: int, experiment_id: int, replicate: int) -> np.random
     return np.random.default_rng((int(master_seed), int(experiment_id), int(replicate)))
 
 
-# Cephes' normal cdf and its inverse (S. L. Moshier), the routines that
-# scipy.special.ndtr and ndtri run, ported operation for operation with
-# math.exp/log/sqrt, which are libm's, so each value equals scipy's bit for
-# bit.  A numpy-ufunc port would not: np.log rounds differently from libm's
-# log on some inputs where numpy vectorises it.  _normal.c holds the same
-# ndtri for arrays.
+# Cephes' normal cdf and its inverse (S. L. Moshier), ported operation for
+# operation with math.exp/log/sqrt, which are libm's, so each value equals
+# Cephes' bit for bit.  A numpy-ufunc port would not: np.log rounds
+# differently from libm's log on some inputs where numpy vectorises it.
+# _normal.c holds the same ndtri for arrays.
 
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
@@ -608,27 +627,3 @@ def _ndtri(y0: float) -> float:
         x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
     x = x0 - x1
     return -x if negate else x
-
-
-_normal = _UNBUILT = object()
-_normal_lock = threading.Lock()
-
-
-def _normal_transform():
-    """``normal_quantile(n, u, mean, sd, x)`` of the compiled ``_normal.c``,
-    or None when it cannot be built.  It is built once per process, on the
-    first array :meth:`Gaussian.quantile`, which engine workers can make
-    concurrently."""
-    global _normal
-    with _normal_lock:
-        if _normal is _UNBUILT:
-            try:
-                transform = build_library("_normal").normal_quantile
-            except (OSError, subprocess.SubprocessError):
-                transform = None
-            else:
-                i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-                transform.argtypes = [i64, ptr, dbl, dbl, ptr]
-                transform.restype = None
-            _normal = transform
-    return _normal

@@ -1,21 +1,21 @@
 """Monte-Carlo harness: replicate streams, MSE curves, log-log rate fits,
 empirical CLT covariances, and paired variant comparison.
 
-Replicates advance in a small C kernel (``_kernel.c``), compiled with the
-interpreter's C compiler on first use and loaded through ``ctypes``, which
-releases the GIL.  The kernel walks replicates two at a time, one per half
-of a SIMD vector, through a chunk of steps with the arithmetic of
-:func:`streamrisk.estimators.step`, operation for operation and without a
-branch on the data, so a replicate is bit-identical to running its stream
-through the scalar recursion.  One chunk-major loop drives it: the calling
+Replicates advance in a small C kernel (``_kernel.c``), which
+:func:`streamrisk._native.load` compiles on the first run of a process and
+loads through ``ctypes``, which releases the GIL.  The kernel walks
+replicates two at a time, one per half of a SIMD vector, through a chunk of
+steps with the arithmetic of :func:`streamrisk.estimators.step`, operation
+for operation and without a branch on the data, so a replicate is
+bit-identical to running its stream through the scalar recursion.  One chunk-major loop drives it: the calling
 thread has the kernel fill the chunk's step table (the gains and Cesaro
 weights that all replicates share), checks its first gains against the
 schedule, and fans the chunk's 32-replicate sub-blocks out to a pool of
-workers, joining them before the next chunk; a run starts no more workers than its ``threads``, the
-CPUs it may use, or its sub-blocks.  No Python runs per step.  When no
-compiler works, the same loop folds the scalar recursion over each replicate
-in the kernel's place, after one ``RuntimeWarning``: the same results, tens of
-times more slowly.
+workers, joining them before the next chunk; a run starts no more workers
+than its ``threads``, the CPUs it may use, or its sub-blocks.  No Python runs
+per step.  When no compiler works, the same loop folds the scalar recursion
+over each replicate in the kernel's place, after one ``RuntimeWarning`` per
+process: the same results, tens of times more slowly.
 Each replicate owns the substream (master_seed, experiment_id, replicate) and
 its own columns of the state and results, which makes thread count and
 completion order irrelevant to the output.
@@ -28,9 +28,7 @@ import contextlib
 import ctypes
 import math
 import os
-import subprocess
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -38,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import asymptotics, distributions
-from ._native import build_library
+from ._native import load
 from .distributions import DistributionModel, RiskOracle, substream
 from .estimators import JointEstimatorState, run_stream
 from .schedules import StepSchedule
@@ -59,39 +57,15 @@ _KERNEL_STEPS = 4096
 _GENERATOR_BYTES = 1024
 _CHECKPOINT_BYTES = 5 * 8
 
-_UNLOADED = object()
-_kernel = _UNLOADED
-
-
-def _load_kernel():
-    """The compiled kernel (a ``ctypes.CDLL`` with ``step_table`` and
-    ``advance``), or None when it cannot be built.  It is built once per
-    process, on first use and never at import."""
-    global _kernel
-    if _kernel is _UNLOADED:
-        _kernel = _build_kernel()
-    return _kernel
-
-
-def _build_kernel():
-    try:
-        kernel = build_library("_kernel")
-    except (OSError, subprocess.SubprocessError) as exc:
-        # The compiler's own message is in its stderr, not in str(exc).
-        detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()[-2000:]
-        warnings.warn(
-            f"replicate kernel not built ({exc}{': ' + detail if detail else ''}); "
-            "folding the scalar reference estimators.step over each replicate, "
-            "tens of times more slowly",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return None
-    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    kernel.step_table.argtypes = [i64, i64, dbl, dbl, dbl, dbl, ptr, i64]
-    kernel.advance.argtypes = [i64, i64, ptr, ptr, i64, dbl, dbl, ptr, i64, i64, ptr, ptr]
-    kernel.step_table.restype = kernel.advance.restype = None
-    return kernel
+# The engine's kernel, as _native.load takes it: the C signatures of its two
+# functions, and what runs in its place when it cannot be built.
+_I64, _PTR, _DBL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+_KERNEL = dict(
+    stem="_kernel",
+    fallback="folding the scalar reference estimators.step over each replicate, tens of times more slowly",
+    step_table=[_I64, _I64, _DBL, _DBL, _DBL, _DBL, _PTR, _I64],
+    advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64, _I64, _PTR, _PTR],
+)
 
 
 @dataclass(frozen=True)
@@ -252,7 +226,7 @@ def _simulate_block(
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
     out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_total))
-    _advance(_load_kernel(), config, rngs, state, out, workers)
+    _advance(load(**_KERNEL), config, rngs, state, out, workers)
     return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
 
 

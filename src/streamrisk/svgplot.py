@@ -47,14 +47,23 @@ def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "start") -> 
     )
 
 
-def _document(body: list[str], title: str) -> str:
+def _document(path: str | Path, body: list[str], title: str, xlabel: str, ylabel: str) -> Path:
+    """Write the plot ``body`` to ``path`` with its title and axis labels."""
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         _text(WIDTH / 2, MARGIN_T - 18, title, size=14, anchor="middle"),
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    labels = [
+        _text(WIDTH / 2, HEIGHT - 14, xlabel, anchor="middle"),
+        f'<text x="18" y="{HEIGHT / 2:.1f}" font-size="12" font-family="sans-serif" '
+        f'text-anchor="middle" transform="rotate(-90 18 {HEIGHT / 2:.1f})">{ylabel}</text>',
+    ]
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("\n".join(head + body + labels + ["</svg>"]) + "\n")
+    return out
 
 
 def _axes_box(frame: _Frame) -> str:
@@ -116,15 +125,7 @@ def loglog_plot(
             f'stroke="{color}" stroke-width="1.5"{dash}/>'
         )
         body.append(_text(lx + 30, ly, label))
-    body.append(_text(WIDTH / 2, HEIGHT - 14, xlabel, anchor="middle"))
-    body.append(
-        f'<text x="18" y="{HEIGHT / 2:.1f}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" transform="rotate(-90 18 {HEIGHT / 2:.1f})">{ylabel}</text>'
-    )
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(_document(body, title))
-    return out
+    return _document(path, body, title, xlabel, ylabel)
 
 
 def _linear_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -177,12 +178,4 @@ def scatter_plot(
         boundary = (chol @ circle).T
         body.append(_polyline(frame, boundary[:, 0], boundary[:, 1], "#d62728"))
         body.append(_text(WIDTH - MARGIN_R - 180, MARGIN_T + 16, "theory 1-sd ellipse"))
-    body.append(_text(WIDTH / 2, HEIGHT - 14, xlabel, anchor="middle"))
-    body.append(
-        f'<text x="18" y="{HEIGHT / 2:.1f}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" transform="rotate(-90 18 {HEIGHT / 2:.1f})">{ylabel}</text>'
-    )
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(_document(body, title))
-    return out
+    return _document(path, body, title, xlabel, ylabel)

@@ -19,6 +19,7 @@ from streamrisk.asymptotics import (
     finite_n_mse,
     mse_bound_averaged_quantile,
     mse_bound_embedded,
+    quantile_clt_variance,
     report,
     sigma_from_generator,
     variance_comparison,
@@ -224,6 +225,26 @@ class TestReport:
     def test_c_alpha_positive_whenever_admissible(self, random_admissible):
         for o, b1 in random_admissible(10, seed=31):
             assert c_alpha_b1(o, b1) > 0
+
+
+@pytest.mark.parametrize(
+    "name, compute",
+    [
+        # f * f underflows to a zero divisor.
+        ("quantile_clt_var", lambda: quantile_clt_variance(synthetic(density=1e-200))),
+        ("quantile_clt_var", lambda: clt_covariance_fast(synthetic(density=1e-200), 1.0)),
+        # (2 b1 - 1) ** 2 overflows, where float ** raises OverflowError.
+        ("c_alpha_b1", lambda: c_alpha_b1(UNIFORM_ORACLE, 1e200)),
+        # b1 * b1 overflows and inf / inf reads NaN.
+        ("s2_22", lambda: clt_covariance_fast(UNIFORM_ORACLE, 1e308)),
+        ("gamma_vartheta", lambda: variance_comparison(UNIFORM_ORACLE, 1e308, 1.0)),
+        ("sq_var_slow", lambda: clt_variance_slow(synthetic(alpha=1 - 2**-53, v=1e300))),
+        ("tau_alpha_sq", lambda: variance_comparison(synthetic(v=1e308, theta=-1e308, vartheta=1e308), 0.8, 0.75)),
+    ],
+)
+def test_non_finite_constant_names_itself(name, compute):
+    with pytest.raises(ValueError, match=f"^{name} overflows float arithmetic$"):
+        compute()
 
 
 def _dense_finite_n_mse(o, sched, n_grid):

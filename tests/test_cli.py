@@ -1,7 +1,11 @@
+import contextlib
+import io
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamrisk import cli, experiments
 from streamrisk.cli import main
@@ -93,7 +97,7 @@ class TestOracleCommand:
 
 
 @pytest.mark.parametrize("command", ["oracle", "rates"])
-@pytest.mark.parametrize("dist", ["exponential:1e-300", "uniform:-1e308,1e308", "pareto:1e300,2.5"])
+@pytest.mark.parametrize("dist", ["exponential:1e-300", "exponential:5e-324", "uniform:-1e308,1e308", "pareto:1e300,2.5"])
 def test_oracle_outside_float_range_exits_2(tmp_path, capsys, command, dist):
     cfg = _write(tmp_path, "edge.cfg", GOLDEN_CFG.replace("uniform lo=0 hi=1", dist))
     argv = {"oracle": ["--dist", dist, "--alpha", "0.5"], "rates": ["--config", str(cfg), "--out", str(tmp_path)]}
@@ -243,6 +247,26 @@ def test_fast_regime_b1_at_half_exits_2_before_the_run(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["asymptotics", "clt", "compare"])
+def test_non_finite_theory_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # At b1 = 1e308, b1 * b1 overflows and the fast-regime theory reads inf / inf.
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("run_experiment called for a config whose theory is not finite")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    cfg = _write(tmp_path, "huge.cfg", CLT_FAST_CFG.replace("b1 = 1.0", "b1 = 1e308"))
+    argv = {
+        "asymptotics": ["--dist", "uniform:0,1", "--alpha", "0.5", "--a", "0.6", "--b", "1", "--b1", "1e308"],
+        "clt": ["--config", str(cfg), "--out", str(tmp_path / "o")],
+        "compare": ["--config", str(cfg), "--out", str(tmp_path / "o")],
+    }[command]
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: \w+ overflows float arithmetic\n", captured.err), captured.err
+    assert "nan" not in captured.out
+    assert not (tmp_path / "o").exists()
+
+
 class TestCompareCommand:
     def test_compare_writes_rows_with_verdict(self, tmp_path):
         cfg = _write(tmp_path, "cmp.cfg", GOLDEN_CFG)
@@ -315,3 +339,61 @@ def test_usage_error_exits_2():
 
 def test_unknown_command_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "dist, alpha, message",
+    [
+        # mean -/+ stddev rounds to the mean, so widening the bisection bracket hung.
+        ("gaussian:-1,1e-300", "0.5", "stddev 1e-300 is below the float spacing at mean -1.0"),
+        ("gaussian:0.5,1e-100", "1e-16", "stddev 1e-100 is below the float spacing at mean 0.5"),
+        # The tail integrals read NaN, which printed with exit 0.
+        ("gaussian:0,5e-324", "5e-324", "vartheta_alpha of Gaussian(mean=0.0, stddev=5e-324) at alpha = 5e-324 "
+         "is nan by quadrature"),
+    ],
+)
+def test_quadrature_oracle_out_of_float_range_exits_3(capsys, dist, alpha, message):
+    assert main(["oracle", "--dist", dist, "--alpha", alpha]) == 3
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
+# Values that sit at or past the edges of float arithmetic, for the property below.
+_EDGE_NUMBERS = ["0", "-0", "5e-324", "1e-300", "-1e-300", "1e300", "-1e300", "1e308", "-1e308",
+                 "nan", "inf", "-inf", "1", "-1", "0.5", "2.5"]
+_NUMBER = (
+    st.sampled_from(_EDGE_NUMBERS)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.floats(0.01, 100.0).map(repr)
+)
+_ALPHA = st.sampled_from(["5e-324", "1e-300", "1e-16", "0.5", "0.9", "0.9999999999999999", "0", "1"]) | st.floats(
+    0.0, 1.0
+).map(repr)
+_DIST = st.sampled_from([("gaussian", 2), ("exponential", 1), ("uniform", 2), ("pareto", 2)]).flatmap(
+    lambda kind: st.lists(_NUMBER, min_size=kind[1], max_size=kind[1]).map(lambda p: f"{kind[0]}:{','.join(p)}")
+)
+
+
+@given(
+    command=st.sampled_from(["oracle", "asymptotics"]),
+    dist=_DIST,
+    alpha=_ALPHA,
+    a1=_NUMBER,
+    a=st.sampled_from(["0.6", "0.6666666666666666", "0.99"]),
+    b1=_NUMBER,
+    b=st.sampled_from(["1", "0.75", "0.51"]),
+)
+@settings(max_examples=300, deadline=2000)
+def test_edge_inputs_exit_cleanly(command, dist, alpha, a1, a, b1, b):
+    # Every outcome is a success, a usage error or a runtime error with a
+    # message, never an escaped exception, and a success prints no NaN.
+    argv = [command, f"--dist={dist}", f"--alpha={alpha}"]
+    if command == "asymptotics":
+        argv += [f"--a1={a1}", f"--a={a}", f"--b1={b1}", f"--b={b}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code == 0:
+        assert "nan" not in out.getvalue(), out.getvalue()
+    else:
+        assert err.getvalue().startswith(("error: ", "runtime error: ")), err.getvalue()

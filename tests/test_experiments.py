@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import streamrisk as sr
+from streamrisk import _native
 from streamrisk import experiments as ex
 from streamrisk.distributions import ZERO_DRAW, sample, substream
 from streamrisk.estimators import JointEstimatorState, init, step
@@ -291,7 +293,7 @@ class _ZeroAt:
 
 @pytest.fixture(scope="module")
 def kernel():
-    kernel = ex._load_kernel()
+    kernel = _native.load(**ex._KERNEL)
     if kernel is None:
         pytest.skip("the replicate kernel could not be built here")
     return kernel
@@ -370,18 +372,17 @@ def test_step_table_that_differs_from_the_schedule_aborts(kernel):
 
 @pytest.mark.parametrize("source", sorted(Path(ex.__file__).parent.glob("*.c")), ids=lambda p: p.name)
 def test_c_source_compiles_without_warnings(tmp_path, source):
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler {cc[0]!r} here")
-    flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-fPIC", "-shared"]
+    # The command the build runs, with every warning an error.
+    command = [*_native.compile_command(source.stem, str(tmp_path / "k.so")), "-Wall", "-Wextra", "-Werror"]
+    if shutil.which(command[0]) is None:
+        pytest.skip(f"no C compiler {command[0]!r} here")
     # The sources' vectors must map to the target's registers: gcc lowers a
     # wider vector piecewise, much more slowly than the scalar code.
-    macros = subprocess.run([*cc, "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True,
+    macros = subprocess.run([command[0], "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True,
                             timeout=120).stdout
     if "__GNUC__" in macros and "__clang__" not in macros:
-        flags.append("-Wvector-operation-performance")
-    done = subprocess.run([*cc, *flags, "-o", str(tmp_path / "k.so"), str(source), "-lm"],
-                          capture_output=True, text=True, timeout=120)
+        command.append("-Wvector-operation-performance")
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
@@ -401,12 +402,16 @@ def test_failed_kernel_build_falls_back_to_scalar_reference(monkeypatch, model, 
     failing_cc = shlex.join(
         [sys.executable, "-c", f"import sys; sys.stderr.write({marker[::-1]!r}[::-1]); raise SystemExit(1)"]
     )
-    monkeypatch.setattr(ex, "_kernel", ex._UNLOADED)
+    monkeypatch.setattr(_native, "_loaded", {})
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: failing_cc)
     with pytest.warns(RuntimeWarning, match="scalar reference") as record:
         runs = [run_experiment(cfg).estimates for _ in range(2)]
-    assert len(record) == 1 and ex._kernel is None
-    assert marker in str(record[0].message)
+    # One warning per library that failed, in the first run only.
+    failed = ["_kernel", "_normal"] if isinstance(model, sr.Gaussian) else ["_kernel"]
+    assert _native._loaded == dict.fromkeys(failed)
+    warned = [re.match(r"native library (\w+) not built \(", str(w.message)) for w in record]
+    assert sorted(m[1] for m in warned if m) == failed and len(record) == len(failed)
+    assert all(marker in str(w.message) for w in record)
     for got in runs:
         for key in expected:
             assert np.array_equal(got[key], expected[key])
@@ -418,7 +423,7 @@ def test_estimator_overflow_names_replicate_and_step(monkeypatch, fold):
     # (x * 1{x > theta_bar}) / (1 - alpha) overflows its embedded superquantile
     # at the first step, found after the chunk and named by its global index.
     if fold:
-        monkeypatch.setattr(ex, "_load_kernel", lambda: None)
+        monkeypatch.setitem(_native._loaded, "_kernel", None)
     cfg = small_config(alpha=0.9, n_grid=(5,), replicates=ex._KERNEL_LANES + 3, warm_start=True)
     huge_in_second = SimpleNamespace(quantile=lambda u: np.full_like(u, 1e308 if len(u) == 3 else 0.5))
     object.__setattr__(cfg, "model", huge_in_second)

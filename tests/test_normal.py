@@ -2,8 +2,9 @@
 
 Every value must equal scipy's, NaN for NaN: the scalar ``_ndtr`` and
 ``_ndtri``, and the compiled ``_normal.c`` behind an array
-``Gaussian.quantile``.  The inputs sit on each branch switch of the routines
-and in both tails down to the smallest subnormal.  The compiled transform,
+``Gaussian.quantile`` (or ``_ndtri`` over each draw where it cannot be
+built).  The inputs sit on each branch switch of the routines and in both
+tails down to the smallest subnormal.  The compiled transform,
 which works in blocks, is also pinned at lengths around its block size, with
 the draws its vector passes leave to its scalar routine at any position.
 """
@@ -14,14 +15,13 @@ import shlex
 import sys
 import sysconfig
 import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from streamrisk import distributions
+from streamrisk import _native, distributions
 from streamrisk.distributions import Gaussian, _ndtr, _ndtri
 
 MEAN_SD = [(0.0, 1.0), (0.5, 2.0)]
@@ -89,7 +89,7 @@ def test_scalar_quantile_equals_scipy(mean, sd):
 def test_compiled_quantile_equals_scipy(mean, sd):
     u = np.concatenate([_ndtri_inputs(200_000), np.random.default_rng(4).random(1_000_000)])
     _same(Gaussian(mean, sd).quantile(u), mean + sd * ndtri(u))
-    assert distributions._normal is not None
+    assert _native._loaded["_normal"] is not None
 
 
 def test_compiled_quantile_keeps_shape_and_reads_any_layout():
@@ -100,44 +100,50 @@ def test_compiled_quantile_keeps_shape_and_reads_any_layout():
         _same(x, 3.5 + 0.25 * ndtri(np.asarray(view)))
 
 
-def test_unbuildable_transform_falls_back_to_scipy_without_warning(monkeypatch):
+def test_unbuildable_transform_falls_back_to_ndtri_with_one_warning(monkeypatch):
     failing_cc = shlex.join([sys.executable, "-c", "raise SystemExit(1)"])
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: failing_cc)
-    monkeypatch.setattr(distributions, "_normal", distributions._UNBUILT)
+    monkeypatch.setattr(_native, "_loaded", {})
     u = np.concatenate([_ndtri_inputs(10_000), np.random.default_rng(6).random(100_000)])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        x = Gaussian(0.5, 2.0).quantile(u)
-    assert caught == []
-    assert distributions._normal is None
+    g = Gaussian(0.5, 2.0)
+    with pytest.warns(RuntimeWarning, match=r"^native library _normal not built .*scalar reference _ndtri") as record:
+        x = g.quantile(u)
+        grid = g.quantile(u[:4000].reshape(40, 100)[:, ::3])
+    assert len(record) == 1
+    assert _native._loaded == {"_normal": None}
     _same(x, 0.5 + 2.0 * ndtri(u))
+    _same(grid, 0.5 + 2.0 * ndtri(u[:4000].reshape(40, 100)[:, ::3]))
 
 
-def test_transform_built_once_across_threads(monkeypatch):
+def test_library_built_once_across_threads(monkeypatch):
     # Engine workers can make a process's first array quantile concurrently.
     builds = []
 
-    def counting_build(stem):
+    def counting_build(stem, fallback, signatures):
         builds.append(stem)
-        return real_build(stem)
+        return real_build(stem, fallback, signatures)
 
-    real_build = distributions.build_library
-    monkeypatch.setattr(distributions, "build_library", counting_build)
-    monkeypatch.setattr(distributions, "_normal", distributions._UNBUILT)
+    real_build = _native._build
+    monkeypatch.setattr(_native, "_build", counting_build)
+    monkeypatch.setattr(_native, "_loaded", {})
     u = np.random.default_rng(7).random((4, 1000))
     results = [None] * 4
+    libraries = [None] * 4
     start = threading.Barrier(4)
 
     def worker(i):
         start.wait()
+        libraries[i] = _native.load(**distributions._NORMAL)
         results[i] = Gaussian(0.0, 1.0).quantile(u[i])
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+        assert not t.is_alive()
     assert builds == ["_normal"]
+    assert libraries[0] is not None and all(lib is libraries[0] for lib in libraries)
     for i in range(4):
         _same(results[i], ndtri(u[i]))
 
@@ -152,7 +158,7 @@ _SPECIAL = [0.0, 1.0, math.nan, -0.1, 1.1, -0.0, 5e-324, 2.0**-1030, 1e-20, math
 
 
 def _pin_block_transform(u, mean=0.5, sd=2.0):
-    assert distributions._normal_transform() is not None
+    assert _native.load(**distributions._NORMAL) is not None
     x = Gaussian(mean, sd).quantile(u)
     _same(x, mean + sd * ndtri(u))
     _same(x, [mean + sd * _ndtri(float(y)) for y in u])
