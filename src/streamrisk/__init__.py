@@ -3,7 +3,6 @@
 asymptotics and a Monte-Carlo verification harness."""
 
 from .asymptotics import (
-    AsymptoticReport,
     ComparisonReport,
     c_alpha_b1,
     clt_covariance_fast,

@@ -1,7 +1,9 @@
 """Closed-form limiting variances, rate constants, and variance comparisons.
 
 Everything here is a pure function of a :class:`~streamrisk.distributions.RiskOracle`
-and step-schedule parameters.  Rate bounds return first-order terms only; the
+and step-schedule parameters.  The CLI calls the constants and bounds it
+prints itself, before it runs any replicate; each raises a ValueError naming
+a value that leaves float range.  Rate bounds return first-order terms only; the
 remainder constants are existence statements without values, so the remainders
 are exposed as exponents and never fabricated numerically.
 
@@ -129,8 +131,8 @@ def mse_bound_embedded(oracle: RiskOracle, schedule: StepSchedule, n: int) -> fl
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if schedule.b_exp == 1.0:
-        return c_alpha_b1(oracle, schedule.b1) / n
-    return clt_variance_slow(oracle) * schedule.gain_b(n)
+        return finite("mse_bound_embedded", lambda: c_alpha_b1(oracle, schedule.b1) / n)
+    return finite("mse_bound_embedded", lambda: clt_variance_slow(oracle) * schedule.gain_b(n))
 
 
 def embedded_remainder_exponent(schedule: StepSchedule) -> float:
@@ -145,7 +147,7 @@ def mse_bound_averaged_quantile(oracle: RiskOracle, schedule: StepSchedule, n: i
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     f = oracle.density_at_quantile
-    return oracle.alpha * (1.0 - oracle.alpha) / (f * f * n)
+    return finite("mse_bound_averaged_quantile", lambda: oracle.alpha * (1.0 - oracle.alpha) / (f * f * n))
 
 
 def averaged_quantile_remainder_exponent(a_exp: float) -> float:
@@ -158,8 +160,8 @@ def mse_bound_competitor(oracle: RiskOracle, schedule: StepSchedule, n: int) -> 
     from their (prior-work) CLT variance: gamma_vartheta * n^(-b)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    report = variance_comparison(oracle, schedule.b1, schedule.b_exp)
-    return report.gamma_vartheta * float(n) ** (-schedule.b_exp)
+    gamma = variance_comparison(oracle, schedule.b1, schedule.b_exp).gamma_vartheta
+    return finite("mse_bound_competitor", lambda: gamma * float(n) ** (-schedule.b_exp))
 
 
 @dataclass(frozen=True)
@@ -232,42 +234,6 @@ def variance_comparison(oracle: RiskOracle, b1: float, b_exp: float) -> Comparis
         b1_threshold=threshold,
         degenerate=degenerate,
         verdict=verdict,
-    )
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Every closed-form constant for one (oracle, schedule) pair.
-
-    ``s2`` and ``c_alpha_b1`` require b1 > 1/2 (they live in the b = 1
-    regime) and are ``None`` otherwise.  ``gamma_vartheta`` follows the
-    schedule's own b-branch.
-    """
-
-    quantile_clt_var: float
-    sq_var_slow: float
-    s2: np.ndarray | None
-    c_alpha_b1: float | None
-    tau_alpha_sq: float
-    gamma_vartheta: float
-    b1_threshold: float
-    averaged_remainder_exponent: float
-    embedded_remainder_exponent: float
-
-
-def report(oracle: RiskOracle, schedule: StepSchedule) -> AsymptoticReport:
-    comparison = variance_comparison(oracle, schedule.b1, schedule.b_exp)
-    fast_ok = schedule.b1 > 0.5
-    return AsymptoticReport(
-        quantile_clt_var=quantile_clt_variance(oracle),
-        sq_var_slow=clt_variance_slow(oracle),
-        s2=clt_covariance_fast(oracle, schedule.b1) if fast_ok else None,
-        c_alpha_b1=c_alpha_b1(oracle, schedule.b1) if fast_ok else None,
-        tau_alpha_sq=comparison.tau_alpha_sq,
-        gamma_vartheta=comparison.gamma_vartheta,
-        b1_threshold=comparison.b1_threshold,
-        averaged_remainder_exponent=averaged_quantile_remainder_exponent(schedule.a_exp),
-        embedded_remainder_exponent=embedded_remainder_exponent(schedule),
     )
 
 

@@ -4,6 +4,9 @@ Subcommands: ``oracle`` (exact vs quadrature risk quantities), ``asymptotics``
 (closed-form theorem constants), ``rates`` (MSE curves and log-log fits),
 ``clt`` (empirical vs theoretical CLT covariance), ``compare`` (paired variant
 MSE ratios).  Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
+``rates``, ``clt`` and ``compare`` take their theory from
+:mod:`streamrisk.asymptotics` before the run, so a config whose theory is
+rejected or leaves float range exits 2 without simulating a replicate.
 """
 
 from __future__ import annotations
@@ -136,19 +139,23 @@ def _cmd_asymptotics(args) -> int:
     model = parse_distribution(args.dist)
     schedule = StepSchedule(a1=args.a1, a_exp=args.a, b1=args.b1, b_exp=args.b)
     oracle = distributions.oracle(model, args.alpha)
-    rep = asymptotics.report(oracle, schedule)
+    comparison = asymptotics.variance_comparison(oracle, schedule.b1, schedule.b_exp)
     flat = [
-        ("quantile_clt_var", rep.quantile_clt_var),
-        ("sq_var_slow", rep.sq_var_slow),
-        ("s2_11", None if rep.s2 is None else rep.s2[0, 0]),
-        ("s2_12", None if rep.s2 is None else rep.s2[0, 1]),
-        ("s2_22", None if rep.s2 is None else rep.s2[1, 1]),
-        ("c_alpha_b1", rep.c_alpha_b1),
-        ("tau_alpha_sq", rep.tau_alpha_sq),
-        ("gamma_vartheta", rep.gamma_vartheta),
-        ("b1_threshold", rep.b1_threshold),
-        ("averaged_remainder_exponent", rep.averaged_remainder_exponent),
-        ("embedded_remainder_exponent", rep.embedded_remainder_exponent),
+        ("quantile_clt_var", asymptotics.quantile_clt_variance(oracle)),
+        ("sq_var_slow", asymptotics.clt_variance_slow(oracle)),
+    ]
+    # S^2 and C_alpha,b1 are the b = 1 regime's constants, defined for b1 > 1/2
+    # whatever the schedule's b.
+    fast = schedule.b1 > 0.5
+    s2 = asymptotics.clt_covariance_fast(oracle, schedule.b1) if fast else None
+    flat += [(f"s2_{i + 1}{j + 1}", None if s2 is None else s2[i, j]) for i, j in ((0, 0), (0, 1), (1, 1))]
+    flat += [
+        ("c_alpha_b1", asymptotics.c_alpha_b1(oracle, schedule.b1) if fast else None),
+        ("tau_alpha_sq", comparison.tau_alpha_sq),
+        ("gamma_vartheta", comparison.gamma_vartheta),
+        ("b1_threshold", comparison.b1_threshold),
+        ("averaged_remainder_exponent", asymptotics.averaged_quantile_remainder_exponent(schedule.a_exp)),
+        ("embedded_remainder_exponent", asymptotics.embedded_remainder_exponent(schedule)),
     ]
     for key, value in flat:
         print(f"{key} = {'n/a' if value is None else repr(float(value))}")
@@ -166,41 +173,41 @@ def _cmd_asymptotics(args) -> int:
     return 0
 
 
-def _theory_first_order(key: str, oracle, schedule: StepSchedule, n: int):
-    if key == "embedded":
-        if schedule.b_exp == 1.0 and schedule.b1 <= 0.5:
-            return None
-        return asymptotics.mse_bound_embedded(oracle, schedule, n)
-    if key in ("classical", "bardou"):
-        if schedule.b_exp == 1.0 and schedule.b1 <= 0.5:
-            return None
-        return asymptotics.mse_bound_competitor(oracle, schedule, n)
-    if key == "theta_bar":
-        return asymptotics.mse_bound_averaged_quantile(oracle, schedule, n)
-    return None
-
-
 def _cmd_rates(args) -> int:
     cfg = _load_config(args)
+    sched = cfg.schedule
+    keys = list(cfg.variants) + ["theta_bar"]
+    # The theory comes before the run, as in _cmd_clt: one first-order term
+    # per checkpoint for each key that has one.  b = 1 with b1 <= 1/2 has no
+    # superquantile theory.  The plot's "embedded theory" series is drawn
+    # whichever variants run.
+    oracle = distributions.oracle(cfg.model, cfg.alpha)
+    bounds = {"theta_bar": asymptotics.mse_bound_averaged_quantile}
+    if not (sched.b_exp == 1.0 and sched.b1 <= 0.5):
+        bounds["embedded"] = asymptotics.mse_bound_embedded
+        bounds["classical"] = bounds["bardou"] = asymptotics.mse_bound_competitor
+    theory = {
+        key: [bounds[key](oracle, sched, n) for n in cfg.n_grid]
+        for key in dict.fromkeys(keys + ["embedded"])
+        if key in bounds
+    }
     result = run_experiment(cfg, threads=args.threads)
     out = _out_dir(args)
     comments = ["streamrisk rates; " + config_summary(cfg)]
-    keys = list(cfg.variants) + ["theta_bar"]
 
     mse_rows = []
     curves: dict[str, np.ndarray] = {}
     for key in keys:
         mse, stderr = result.mse_curve(key)
         curves[key] = mse
+        first_order = theory.get(key, [None] * len(cfg.n_grid))
         for k, n in enumerate(cfg.n_grid):
-            mse_rows.append(
-                [key, n, mse[k], stderr[k], _theory_first_order(key, result.oracle, cfg.schedule, n)]
-            )
+            mse_rows.append([key, n, mse[k], stderr[k], first_order[k]])
     write_csv(out / "mse.csv", ["variant", "n", "mse", "stderr", "theory_first_order"], mse_rows, comments)
 
     fit_rows = []
     for key in keys:
-        theory_slope = -1.0 if key == "theta_bar" else -cfg.schedule.b_exp
+        theory_slope = -1.0 if key == "theta_bar" else -sched.b_exp
         if len(cfg.n_grid) >= 3:
             fit = fit_rate(zip(cfg.n_grid, curves[key]))
             fit_rows.append([key, fit.slope, fit.intercept, fit.r_squared, theory_slope])
@@ -210,9 +217,8 @@ def _cmd_rates(args) -> int:
     write_csv(out / "ratefit.csv", ["variant", "slope", "intercept", "r2", "theory_slope"], fit_rows, comments)
 
     series = [(key, cfg.n_grid, curves[key], False) for key in keys]
-    theory = [_theory_first_order("embedded", result.oracle, cfg.schedule, n) for n in cfg.n_grid]
-    if all(v is not None for v in theory):
-        series.append(("embedded theory", cfg.n_grid, theory, True))
+    if "embedded" in theory:
+        series.append(("embedded theory", cfg.n_grid, theory["embedded"], True))
     loglog_plot(out / "rates.svg", series, "MSE vs n", "n", "mse")
     print(f"wrote {out / 'mse.csv'}, {out / 'ratefit.csv'}, {out / 'rates.svg'}")
     return 0
@@ -279,10 +285,10 @@ def _cmd_compare(args) -> int:
     theory = asymptotics.variance_comparison(oracle, cfg.schedule.b1, cfg.schedule.b_exp)
     result = run_experiment(cfg, threads=args.threads)
     out = _out_dir(args)
-    report = compare_variants(result, theory)
+    ratios = compare_variants(result)
     rows = []
-    for row in report.rows:
-        verdict = report.theory.verdict if "embedded" in row.pair else "tie"
+    for row in ratios:
+        verdict = theory.verdict if "embedded" in row.pair else "tie"
         rows.append([row.n, row.pair, row.mse_ratio, row.ci_low, row.ci_high, verdict])
     write_csv(
         out / "compare.csv",
@@ -290,13 +296,12 @@ def _cmd_compare(args) -> int:
         rows,
         comments=["streamrisk compare; " + config_summary(cfg)],
     )
-    th = report.theory
     print(
-        f"theory: verdict = {th.verdict}; b1 = {th.b1!r}; b1_threshold = {th.b1_threshold!r}; "
-        f"embedded_variance = {th.embedded_variance!r}; gamma_vartheta = {th.gamma_vartheta!r}"
+        f"theory: verdict = {theory.verdict}; b1 = {theory.b1!r}; b1_threshold = {theory.b1_threshold!r}; "
+        f"embedded_variance = {theory.embedded_variance!r}; gamma_vartheta = {theory.gamma_vartheta!r}"
     )
     final_n = cfg.n_grid[-1]
-    for row in report.rows:
+    for row in ratios:
         if row.n == final_n:
             print(
                 f"n = {row.n}: mse[{row.pair}] = {row.mse_ratio:.6g} "

@@ -1,5 +1,7 @@
 """Monte-Carlo harness: replicate streams, MSE curves, log-log rate fits,
-empirical CLT covariances, and paired variant comparison.
+empirical CLT covariances, and paired variant comparison.  The theory these
+measurements are read against lives in :mod:`streamrisk.asymptotics`; nothing
+here computes it.
 
 Replicates advance in a small C kernel (``_kernel.c``), which
 :func:`streamrisk._native.load` compiles on the first run of a process and
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import asymptotics, distributions
+from . import distributions
 from ._native import load
 from .distributions import DistributionModel, RiskOracle, substream
 from .estimators import JointEstimatorState, run_stream
@@ -373,6 +375,9 @@ def empirical_clt_cov(result: ExperimentResult, n: int) -> tuple[np.ndarray, np.
     return cov, se
 
 
+_Z_975 = 1.959963984540054  # the standard normal's 0.975 quantile
+
+
 @dataclass(frozen=True)
 class VariantComparisonRow:
     n: int
@@ -382,33 +387,17 @@ class VariantComparisonRow:
     ci_high: float
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    rows: tuple[VariantComparisonRow, ...]
-    theory: asymptotics.ComparisonReport
-
-
-def compare_variants(
-    result: ExperimentResult,
-    theory: asymptotics.ComparisonReport | None = None,
-    z: float = 1.959963984540054,
-) -> CompareReport:
+def compare_variants(result: ExperimentResult) -> tuple[VariantComparisonRow, ...]:
     """Paired MSE ratios between variants per checkpoint.
 
     Ratios are paired through common random numbers (all variants consumed the
-    same draws); confidence intervals come from leave-one-replicate-out
-    jackknife at the given normal quantile (default 95%).  ``theory`` is
-    ``asymptotics.variance_comparison`` of the result's oracle and schedule;
-    callers that checked it before the run pass it in, otherwise it is
-    computed here.
+    same draws); 95% confidence intervals come from leave-one-replicate-out
+    jackknife.
     """
     present = result.config.variants
     if len(present) < 2:
         raise ValueError("variant comparison requires at least 2 variants")
     pairs = [(a, b) for i, a in enumerate(present) for b in present[i + 1 :]]
-    if theory is None:
-        sched = result.config.schedule
-        theory = asymptotics.variance_comparison(result.oracle, sched.b1, sched.b_exp)
 
     rows: list[VariantComparisonRow] = []
     for a, b in pairs:
@@ -425,11 +414,11 @@ def compare_variants(
                     n=n,
                     pair=f"{a}/{b}",
                     mse_ratio=float(ratio),
-                    ci_low=float(ratio - z * se),
-                    ci_high=float(ratio + z * se),
+                    ci_low=float(ratio - _Z_975 * se),
+                    ci_high=float(ratio + _Z_975 * se),
                 )
             )
-    return CompareReport(rows=tuple(rows), theory=theory)
+    return tuple(rows)
 
 
 def moment_curve(result: ExperimentResult, key: str, power: int) -> np.ndarray:

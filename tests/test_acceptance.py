@@ -235,13 +235,13 @@ def test_criterion_07a_heavy_tail_comparison():
         n_grid=(1000000,), replicates=1000, master_seed=SEED, warm_start=True,
     )
     res = run_experiment(cfg)
-    rep = compare_variants(res)
-    theory = rep.theory
+    rows = compare_variants(res)
+    theory = variance_comparison(res.oracle, 0.55, 1.0)
     prediction_ok = (
         theory.verdict == VERDICT_EMBEDDED
         and theory.b1_threshold == pytest.approx(0.625, abs=1e-12)
     )
-    row = next(r for r in rep.rows if r.pair == "embedded/classical" and r.n == 1000000)
+    row = next(r for r in rows if r.pair == "embedded/classical" and r.n == 1000000)
     empirical_ok = row.mse_ratio < 1.0 and row.ci_high < 1.0
     ok = prediction_ok and empirical_ok
     predicted = finite_n_mse(res.oracle, cfg.schedule, cfg.n_grid)

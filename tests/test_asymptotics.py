@@ -20,7 +20,6 @@ from streamrisk.asymptotics import (
     mse_bound_averaged_quantile,
     mse_bound_embedded,
     quantile_clt_variance,
-    report,
     sigma_from_generator,
     variance_comparison,
 )
@@ -110,6 +109,10 @@ class TestEmbeddedBound:
         values = [mse_bound_embedded(UNIFORM_ORACLE, sched, n) for n in (10, 100, 1000, 10**6)]
         assert all(x > y for x, y in zip(values, values[1:]))
         assert values[-1] < 1e-3
+
+    def test_c_alpha_positive_whenever_admissible(self, random_admissible):
+        for o, b1 in random_admissible(10, seed=31):
+            assert c_alpha_b1(o, b1) > 0
 
 
 class TestAveragedQuantileBound:
@@ -207,26 +210,6 @@ class TestTwoRouteVerdicts:
             assert rep.verdict == threshold_route
 
 
-class TestReport:
-    def test_fast_schedule_report(self):
-        sched = StepSchedule(a1=1.0, a_exp=2 / 3, b1=1.0, b_exp=1.0)
-        rep = report(UNIFORM_ORACLE, sched)
-        assert rep.s2 is not None and rep.s2[0, 0] == rep.quantile_clt_var
-        assert np.allclose(rep.s2, rep.s2.T)
-        assert rep.c_alpha_b1 > 0
-        assert rep.gamma_vartheta == pytest.approx(rep.tau_alpha_sq, rel=1e-14)  # b1 = 1, b = 1
-
-    def test_small_b1_leaves_fast_fields_empty(self):
-        sched = StepSchedule(a1=1.0, a_exp=0.55, b1=0.3, b_exp=0.75)
-        rep = report(UNIFORM_ORACLE, sched)
-        assert rep.s2 is None and rep.c_alpha_b1 is None
-        assert rep.sq_var_slow == pytest.approx(float(UNIFORM_V / (2 * Fraction(1, 4))), rel=1e-14)
-
-    def test_c_alpha_positive_whenever_admissible(self, random_admissible):
-        for o, b1 in random_admissible(10, seed=31):
-            assert c_alpha_b1(o, b1) > 0
-
-
 @pytest.mark.parametrize(
     "name, compute",
     [
@@ -240,6 +223,13 @@ class TestReport:
         ("gamma_vartheta", lambda: variance_comparison(UNIFORM_ORACLE, 1e308, 1.0)),
         ("sq_var_slow", lambda: clt_variance_slow(synthetic(alpha=1 - 2**-53, v=1e300))),
         ("tau_alpha_sq", lambda: variance_comparison(synthetic(v=1e308, theta=-1e308, vartheta=1e308), 0.8, 0.75)),
+        # f * f * n underflows to a zero divisor.
+        (
+            "mse_bound_averaged_quantile",
+            lambda: mse_bound_averaged_quantile(synthetic(density=1e-200), StepSchedule(1.0, 0.6, 1.0, 0.75), 10),
+        ),
+        # sq_var_slow = 2e300 times gain_b(1) = 1e300 * 2^(-3/4).
+        ("mse_bound_embedded", lambda: mse_bound_embedded(synthetic(v=1e300), StepSchedule(1.0, 0.6, 1e300, 0.75), 1)),
     ],
 )
 def test_non_finite_constant_names_itself(name, compute):

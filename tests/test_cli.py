@@ -193,6 +193,22 @@ class TestRatesCommand:
         emb = [(int(r[n_idx]), float(r[t_idx])) for r in rows if r[0] == "embedded"]
         assert all(x[1] > y[1] for x, y in zip(emb, emb[1:]))
 
+    def test_fast_regime_at_b1_half_has_only_quantile_theory(self, tmp_path):
+        # b = 1 with b1 <= 1/2 has no superquantile theory: its first-order
+        # terms read n/a and the plot has no theory series.
+        cfg = _write(tmp_path, "half.cfg", GOLDEN_CFG.replace("b1 = 1.0", "b1 = 0.5"))
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = read_csv(out / "mse.csv")
+        theory = [(r[0], int(r[1]), r[header.index("theory_first_order")]) for r in rows]
+        assert [(key, v) for key, _, v in theory if key != "theta_bar"] == [
+            (key, "n/a") for key in ("embedded", "classical", "bardou") for _ in (10, 100)
+        ]
+        # alpha (1 - alpha) / (f^2 n) with f = 1
+        assert [(n, float(v)) for key, n, v in theory if key == "theta_bar"] == [(10, 0.025), (100, 0.0025)]
+        svg = (out / "rates.svg").read_text()
+        assert ">theta_bar</text>" in svg and "embedded theory" not in svg
+
 
 class TestCltCommand:
     def test_fast_regime_theory_columns(self, tmp_path):
@@ -247,19 +263,44 @@ def test_fast_regime_b1_at_half_exits_2_before_the_run(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["asymptotics", "clt", "compare"])
-def test_non_finite_theory_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command):
-    # At b1 = 1e308, b1 * b1 overflows and the fast-regime theory reads inf / inf.
+_HUGE_B1_CFG = CLT_FAST_CFG.replace("b1 = 1.0", "b1 = 1e308")
+
+# f * f * n underflows to zero in the averaged-quantile bound.
+_TINY_DENSITY_CFG = """\
+dist = gaussian mean=2.2 stddev=1e12
+alpha = 1e-300
+a1 = 1e300
+a = 0.6666666666666666
+b1 = 1e-12
+b = 0.75
+n_grid = 3,10,50
+replicates = 32
+master_seed = 199
+warm_start = true
+"""
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text",
+    [
+        # At b1 = 1e308, b1 * b1 overflows and the fast-regime theory reads inf / inf.
+        ("asymptotics", None),
+        ("clt", _HUGE_B1_CFG),
+        ("compare", _HUGE_B1_CFG),
+        ("rates", _HUGE_B1_CFG),
+        ("rates", _TINY_DENSITY_CFG),
+    ],
+    ids=["asymptotics", "clt", "compare", "rates", "rates-tiny-density"],
+)
+def test_non_finite_theory_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command, cfg_text):
     def run_experiment(*args, **kwargs):
         raise AssertionError("run_experiment called for a config whose theory is not finite")
 
     monkeypatch.setattr(cli, "run_experiment", run_experiment)
-    cfg = _write(tmp_path, "huge.cfg", CLT_FAST_CFG.replace("b1 = 1.0", "b1 = 1e308"))
-    argv = {
-        "asymptotics": ["--dist", "uniform:0,1", "--alpha", "0.5", "--a", "0.6", "--b", "1", "--b1", "1e308"],
-        "clt": ["--config", str(cfg), "--out", str(tmp_path / "o")],
-        "compare": ["--config", str(cfg), "--out", str(tmp_path / "o")],
-    }[command]
+    if cfg_text is None:
+        argv = ["--dist", "uniform:0,1", "--alpha", "0.5", "--a", "0.6", "--b", "1", "--b1", "1e308"]
+    else:
+        argv = ["--config", str(_write(tmp_path, "edge.cfg", cfg_text)), "--out", str(tmp_path / "o")]
     assert main([command, *argv]) == 2
     captured = capsys.readouterr()
     assert re.fullmatch(r"error: \w+ overflows float arithmetic\n", captured.err), captured.err
@@ -295,6 +336,39 @@ class TestAsymptoticsCommand:
         assert "quantile_clt_var = 0.25" in out
         assert "s2_22 = 0.3541666" in out
         assert "b1_threshold = 0.5" in out
+
+    @pytest.mark.parametrize(
+        "schedule, values",
+        [
+            (
+                ("1.0", "0.6666666666666666", "1.0", "1.0"),
+                ("0.25", "0.30208333333333337", "0.25", "0.125", "0.35416666666666674", "5.137280692261779",
+                 "0.10416666666666674", "0.10416666666666674", "0.5", "1.1666666666666665", "1.3333333333333333"),
+            ),
+            # b1 <= 1/2: S^2 and C_alpha,b1 belong to the b = 1 regime, which needs b1 > 1/2.
+            (
+                ("1.0", "0.55", "0.3", "0.75"),
+                ("0.25", "0.30208333333333337", "n/a", "n/a", "n/a", "n/a",
+                 "0.10416666666666674", "0.01562500000000001", "0.5", "1.05", "0.875"),
+            ),
+        ],
+        ids=["b1-above-half", "b1-below-half"],
+    )
+    def test_every_constant_on_stdout_and_in_csv(self, tmp_path, capsys, schedule, values):
+        names = (
+            "quantile_clt_var", "sq_var_slow", "s2_11", "s2_12", "s2_22", "c_alpha_b1", "tau_alpha_sq",
+            "gamma_vartheta", "b1_threshold", "averaged_remainder_exponent", "embedded_remainder_exponent",
+        )
+        a1, a, b1, b = schedule
+        argv = ["--dist", "uniform:0,1", "--alpha", "0.5", "--a1", a1, "--a", a, "--b1", b1, "--b", b]
+        assert main(["asymptotics", *argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "".join(f"{k} = {v}\n" for k, v in zip(names, values))
+        assert (tmp_path / "asymptotics.csv").read_text() == (
+            "# streamrisk asymptotics; dist = uniform lo=0.0 hi=1.0; alpha = 0.5; "
+            f"a1 = {a1}; a = {a}; b1 = {b1}; b = {b}\n" + ",".join(names) + "\n" + ",".join(values) + "\n"
+        )
+        pinned = dict(zip(names, values))
+        assert pinned["s2_11"] in (pinned["quantile_clt_var"], "n/a")
 
     def test_writes_csv(self, tmp_path):
         code = main(
