@@ -24,7 +24,6 @@ from .distributions import (
     numeric_oracle,
     oracle,
     sample,
-    sample_array,
     substream,
 )
 from .estimators import JointEstimatorState, init, run_stream, step

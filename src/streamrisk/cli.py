@@ -106,6 +106,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_finite(header: list[str], rows: list[list], labels: int) -> None:
+    """A ValueError (exit 2) naming the first float cell of ``rows`` that is not finite, with
+    its row's first ``labels`` cells; the run commands check their rows before writing any."""
+    for row in rows:
+        for name, cell in zip(header, row):
+            if isinstance(cell, float) and not np.isfinite(cell):
+                where = ", ".join(f"{h} = {c}" for h, c in zip(header[:labels], row))
+                raise ValueError(f"{name} at {where} is {float(cell)!r}, not finite; nothing was written")
+
+
 _ORACLE_FIELDS = ("theta_alpha", "vartheta_alpha", "density_at_quantile", "v_alpha")
 
 
@@ -192,29 +202,32 @@ def _cmd_rates(args) -> int:
         if key in bounds
     }
     result = run_experiment(cfg, threads=args.threads)
+    mse_header = ["variant", "n", "mse", "stderr", "theory_first_order"]
+    fit_header = ["variant", "slope", "intercept", "r2", "theory_slope"]
+    mse_rows, fit_rows = [], []
+    curves: dict[str, np.ndarray] = {}
+    with np.errstate(all="ignore"):  # _check_finite reports what numpy would warn of
+        for key in keys:
+            mse, stderr = result.mse_curve(key)
+            curves[key] = mse
+            first_order = theory.get(key, [None] * len(cfg.n_grid))
+            mse_rows += [[key, n, mse[k], stderr[k], first_order[k]] for k, n in enumerate(cfg.n_grid)]
+        _check_finite(mse_header, mse_rows, 2)  # the fits need finite mse
+        for key in keys:
+            theory_slope = -1.0 if key == "theta_bar" else -sched.b_exp
+            if len(cfg.n_grid) >= 3:
+                fit = fit_rate(zip(cfg.n_grid, curves[key]))
+                fit_rows.append([key, fit.slope, fit.intercept, fit.r_squared, theory_slope])
+            else:
+                fit_rows.append([key, None, None, None, theory_slope])
+    _check_finite(fit_header, fit_rows, 1)
     out = _out_dir(args)
     comments = ["streamrisk rates; " + config_summary(cfg)]
-
-    mse_rows = []
-    curves: dict[str, np.ndarray] = {}
-    for key in keys:
-        mse, stderr = result.mse_curve(key)
-        curves[key] = mse
-        first_order = theory.get(key, [None] * len(cfg.n_grid))
-        for k, n in enumerate(cfg.n_grid):
-            mse_rows.append([key, n, mse[k], stderr[k], first_order[k]])
-    write_csv(out / "mse.csv", ["variant", "n", "mse", "stderr", "theory_first_order"], mse_rows, comments)
-
-    fit_rows = []
-    for key in keys:
-        theory_slope = -1.0 if key == "theta_bar" else -sched.b_exp
-        if len(cfg.n_grid) >= 3:
-            fit = fit_rate(zip(cfg.n_grid, curves[key]))
-            fit_rows.append([key, fit.slope, fit.intercept, fit.r_squared, theory_slope])
-            print(f"{key}: fitted slope {fit.slope:.4f} (theory {theory_slope}), r2 {fit.r_squared:.4f}")
-        else:
-            fit_rows.append([key, None, None, None, theory_slope])
-    write_csv(out / "ratefit.csv", ["variant", "slope", "intercept", "r2", "theory_slope"], fit_rows, comments)
+    write_csv(out / "mse.csv", mse_header, mse_rows, comments)
+    for key, slope, _, r2, theory_slope in fit_rows:
+        if slope is not None:
+            print(f"{key}: fitted slope {slope:.4f} (theory {theory_slope}), r2 {r2:.4f}")
+    write_csv(out / "ratefit.csv", fit_header, fit_rows, comments)
 
     series = [(key, cfg.n_grid, curves[key], False) for key in keys]
     if "embedded" in theory:
@@ -233,30 +246,29 @@ def _cmd_clt(args) -> int:
     oracle = distributions.oracle(cfg.model, cfg.alpha)
     if cfg.schedule.b_exp == 1.0:
         s2 = asymptotics.clt_covariance_fast(oracle, cfg.schedule.b1)
+        try:  # clt.svg draws S^2's ellipse through its Cholesky factor
+            np.linalg.cholesky(s2)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"S^2 = {s2.tolist()} is not positive definite in float arithmetic") from None
         theory = (s2[0, 0], s2[0, 1], s2[1, 1])
     else:
         s2 = None
         theory = (asymptotics.quantile_clt_variance(oracle), None, asymptotics.clt_variance_slow(oracle))
     result = run_experiment(cfg, threads=args.threads)
-    out = _out_dir(args)
-    comments = ["streamrisk clt; " + config_summary(cfg)]
+    header = [
+        "n",
+        "s11_emp", "s12_emp", "s22_emp",
+        "s11_se", "s12_se", "s22_se",
+        "s11_theory", "s12_theory", "s22_theory",
+    ]
     rows = []
-    for n in cfg.n_grid:
-        cov, se = empirical_clt_cov(result, n)
-        rows.append(
-            [n, cov[0, 0], cov[0, 1], cov[1, 1], se[0, 0], se[0, 1], se[1, 1], *theory]
-        )
-    write_csv(
-        out / "clt.csv",
-        [
-            "n",
-            "s11_emp", "s12_emp", "s22_emp",
-            "s11_se", "s12_se", "s22_se",
-            "s11_theory", "s12_theory", "s22_theory",
-        ],
-        rows,
-        comments,
-    )
+    with np.errstate(all="ignore"):  # as in _cmd_rates
+        for n in cfg.n_grid:
+            cov, se = empirical_clt_cov(result, n)
+            rows.append([n, cov[0, 0], cov[0, 1], cov[1, 1], se[0, 0], se[0, 1], se[1, 1], *theory])
+    _check_finite(header, rows, 1)
+    out = _out_dir(args)
+    write_csv(out / "clt.csv", header, rows, ["streamrisk clt; " + config_summary(cfg)])
     final_n = cfg.n_grid[-1]
     pairs = result.clt_pairs(final_n)
     scatter_plot(
@@ -284,18 +296,16 @@ def _cmd_compare(args) -> int:
     oracle = distributions.oracle(cfg.model, cfg.alpha)
     theory = asymptotics.variance_comparison(oracle, cfg.schedule.b1, cfg.schedule.b_exp)
     result = run_experiment(cfg, threads=args.threads)
-    out = _out_dir(args)
-    ratios = compare_variants(result)
+    with np.errstate(all="ignore"):  # as in _cmd_rates
+        ratios = compare_variants(result)
+    header = ["n", "pair", "mse_ratio", "ci_low", "ci_high", "theory_verdict"]
     rows = []
     for row in ratios:
         verdict = theory.verdict if "embedded" in row.pair else "tie"
         rows.append([row.n, row.pair, row.mse_ratio, row.ci_low, row.ci_high, verdict])
-    write_csv(
-        out / "compare.csv",
-        ["n", "pair", "mse_ratio", "ci_low", "ci_high", "theory_verdict"],
-        rows,
-        comments=["streamrisk compare; " + config_summary(cfg)],
-    )
+    _check_finite(header, rows, 2)
+    out = _out_dir(args)
+    write_csv(out / "compare.csv", header, rows, comments=["streamrisk compare; " + config_summary(cfg)])
     print(
         f"theory: verdict = {theory.verdict}; b1 = {theory.b1!r}; b1_threshold = {theory.b1_threshold!r}; "
         f"embedded_variance = {theory.embedded_variance!r}; gamma_vartheta = {theory.gamma_vartheta!r}"

@@ -7,8 +7,9 @@ superquantile, density at the quantile, and the tail variance
     v_alpha = E[X^2 1{X > theta}] - (E[X 1{X > theta}])^2,
 
 while :func:`numeric_oracle` recomputes the same structure by bisection on the
-cdf and adaptive quadrature of x*f(x) and x^2*f(x) only, so the two routes
-stay independent cross-checks of each other.
+cdf and adaptive Gauss-Legendre quadrature of x*f(x) and x^2*f(x) only, so the
+two routes stay independent cross-checks of each other.  numpy is the only
+library either route uses.
 
 The Gaussian cdf and inverse cdf are Cephes' ``ndtr`` and ``ndtri``, ported
 operation for operation so that every value equals Cephes' own bit for bit:
@@ -17,15 +18,13 @@ operation for operation so that every value equals Cephes' own bit for bit:
 :func:`streamrisk._native.load` on the first array :meth:`Gaussian.quantile`
 of a process, for the draws.  When it cannot be built, array draws go through
 :func:`_ndtri` one by one, after one ``RuntimeWarning``: the same values,
-about 2 us a draw instead of 15 ns.  Only the quadrature of
-:func:`numeric_oracle` imports a library beyond numpy (``quad``, on first
-use): importing this module (and the CLI) does not, and neither does a run on
-any model.
+about 2 us a draw instead of 15 ns.
 """
 
 from __future__ import annotations
 
 import ctypes
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -36,11 +35,13 @@ from ._native import load
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Quadrature truncation point for unbounded supports: the model's own inverse
-# cdf at 1 - _TAIL_EPS.  The mass beyond it is integrated separately (see
-# _tail_integral), not dropped: for heavy tails the moment integrals carry
-# non-negligible weight past any fixed quantile.
+# The quadrature of unbounded supports splits at T, the model's own inverse
+# cdf at 1 - _TAIL_EPS, so that a narrow bump far from 0 lies below it.  The
+# mass past T is not dropped: for heavy tails the moment integrals carry
+# weight past any quantile (see _tail_integral for the rule and its bounds).
 _TAIL_EPS = 1e-13
+_TAIL_DECADES = 10
+_MAX_SPLITS = 500
 
 # Read in place of a u = 0 draw whose inverse-cdf transform is non-finite; it
 # is half the smallest positive value rng.random() returns (2**-53).
@@ -331,7 +332,7 @@ def oracle(model: DistributionModel, alpha: float) -> RiskOracle:
 
 
 def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
-    """Brute-force oracle: bisection on the cdf plus adaptive quadrature.
+    """Brute-force oracle: bisection on the cdf plus adaptive Gauss-Legendre quadrature.
 
     Deliberately avoids the closed-form tail moments and the inverse cdf
     (except to place the finite/infinite split point of the tail integral), so
@@ -378,60 +379,61 @@ def _bisect_quantile(
     )
 
 
-def _quad_checked(func, lo: float, hi: float) -> tuple[float, float]:
-    from scipy.integrate import quad
-
-    # Splitting at decade waypoints keeps each subrange well-conditioned;
-    # a single pass over many decades of power-law decay trips QUADPACK's
-    # extrapolation roundoff detection.
-    waypoints: list[float] = []
-    w = max(abs(lo), 1.0) * 10.0
-    while w < hi:
-        if w > lo:
-            waypoints.append(w)
-        w *= 10.0
-    edges = [lo, *waypoints, hi]
-    value = err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        out = quad(func, a, b, epsabs=0.0, epsrel=1e-12, limit=200, full_output=1)
-        value += out[0]
-        err += out[1]
-    return value, err
-
-
 def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
-    """Integral of x^power * f(x) over [lo, support top) by adaptive quadrature.
+    """Integral of x^power f(x) over [lo, support top) by the 20-point
+    Gauss-Legendre rule on pieces between decade waypoints up to the top or,
+    where there is none, T = quantile(1 - _TAIL_EPS) and _TAIL_DECADES decades
+    past it, plus the rest of a geometric series with the last two decades'
+    ratio (exact for a power tail, 0 for a light one).  The piece whose halves
+    differ most from its whole is halved, at most _MAX_SPLITS times, until
+    those differences sum to 1e-14 of the total."""
+    nodes, weights = (v.tolist() for v in np.polynomial.legendre.leggauss(20))
 
-    For unbounded supports the range splits at T = quantile(1 - 1e-13); the
-    remainder over [T, inf) is mapped to (0, 1/T] with y = 1/x so that slowly
-    decaying tails (Pareto) are captured instead of truncated.
-    """
-    from scipy.integrate import quad
+    def rule(a: float, b: float) -> float:
+        half, mid, total = 0.5 * (b - a), 0.5 * (a + b), 0.0
+        for t, w in zip(nodes, weights):
+            x = mid + half * t
+            total += w * model.pdf(x) * x * (x if power == 2 else 1.0)  # x**2 alone can overflow
+        return half * total
 
-    def g(x: float) -> float:
-        return x**power * model.pdf(x)
+    def piece(a: float, b: float, whole: float, index: int) -> tuple:
+        mid = 0.5 * (a + b)
+        left, right = rule(a, mid), rule(mid, b)
+        return -abs(whole - left - right), a, b, index, left, right
 
     top = model.support_top
-    if math.isfinite(top):
-        value, err = _quad_checked(g, lo, top)
-    else:
-        split = float(model.quantile(1.0 - _TAIL_EPS))
-        v1, e1 = _quad_checked(g, lo, split)
-        v2, e2 = quad(
-            lambda y: g(1.0 / y) / (y * y),
-            0.0,
-            1.0 / split,
-            epsabs=1e-15,
-            epsrel=1e-12,
-            limit=300,
-            full_output=1,
-        )[:2]
-        value, err = v1 + v2, e1 + e2
+    bounded = math.isfinite(top)
+    split = top if bounded else float(model.quantile(1.0 - _TAIL_EPS))
+    edges = [lo]
+    w = max(abs(lo), 1.0) * 10.0
+    while w < split:
+        edges.append(w)
+        w *= 10.0
+    edges.append(split)
+    if not bounded:
+        edges += [(split if split > 0.0 else 1.0) * 10.0**k for k in range(1, _TAIL_DECADES + 1)]
+    heap = [piece(a, b, rule(a, b), i) for i, (a, b) in enumerate(zip(edges, edges[1:]))]
+    heapq.heapify(heap)
+    for _ in range(_MAX_SPLITS):
+        if not -sum(p[0] for p in heap) > 1e-14 * abs(sum(p[4] + p[5] for p in heap)):  # NaN stops too
+            break
+        _, a, b, index, left, right = heapq.heappop(heap)
+        heapq.heappush(heap, piece(a, 0.5 * (a + b), left, index))
+        heapq.heappush(heap, piece(0.5 * (a + b), b, right, index))
+    values = [0.0] * (len(edges) - 1)
+    for p in heap:
+        values[p[3]] += p[4] + p[5]
+    value, err = math.fsum(values), -math.fsum(p[0] for p in heap)
+    if not bounded and values[-1] != 0.0:
+        with np.errstate(all="ignore"):
+            r_prev, r = np.divide(values[-2:], values[-3:-1]).tolist()
+        if not (0.0 <= r_prev < 1.0 and 0.0 <= r < 1.0):
+            raise QuadratureError(f"x^{power} f(x) has decade ratios {r_prev:.6e}, {r:.6e} past {split}")
+        rest_prev, rest = (values[-1] * q / (1.0 - q) for q in (r_prev, r))
+        value, err = value + rest, err + abs(rest - rest_prev)
     if err > 1e-9 * max(abs(value), 1.0):
-        raise QuadratureError(
-            f"tail integral of x^{power} f(x) from {lo} reached abs error {err:.3e} "
-            f"for value {value:.6e} (target 1e-9 relative)"
-        )
+        raise QuadratureError(f"tail integral of x^{power} f(x) from {lo} reached abs error {err:.3e} "
+                              f"for value {value:.6e} (target 1e-9 relative)")
     return value
 
 
@@ -460,22 +462,18 @@ def mend_zero_draws(model: DistributionModel, u, x) -> np.ndarray:
 
 
 def sample(model: DistributionModel, rng: np.random.Generator) -> float:
-    """One draw via inverse-cdf transform of ``rng.random()``.
+    """One draw via inverse-cdf transform of ``rng.random()``: the scalar
+    reference that tests hold the replicate engine's draws to.
 
-    The transform runs on a one-element array, as in :func:`sample_array` and
-    the replicate engine: numpy's array loops can round differently from
-    Python's float arithmetic (``**`` for the Pareto differs in about 5% of
-    draws by one ulp on CPUs where numpy vectorises ``power``)."""
-    return float(sample_array(model, rng, 1)[0])
-
-
-def sample_array(model: DistributionModel, rng: np.random.Generator, size) -> np.ndarray:
-    """Vectorized draws; bit-identical to repeated :func:`sample` calls."""
-    u = rng.random(size)
+    The transform runs on a one-element array, as in the engine: numpy's
+    array loops can round differently from Python's float arithmetic (``**``
+    for the Pareto differs in about 5% of draws by one ulp on CPUs where
+    numpy vectorises ``power``)."""
+    u = rng.random(1)
     x = np.asarray(model.quantile(u), dtype=np.float64)
     if not np.isfinite(x).all():
         x = mend_zero_draws(model, u, x)
-    return x
+    return float(x[0])
 
 
 def substream(master_seed: int, experiment_id: int, replicate: int) -> np.random.Generator:

@@ -156,7 +156,7 @@ class ExperimentResult:
         if sched.b_exp == 1.0:
             rescale_sq = math.sqrt(n)
         else:
-            rescale_sq = 1.0 / math.sqrt(sched.gain_b(n))
+            rescale_sq = distributions.finite(f"b_n^(-1/2) at n = {n}", lambda: 1.0 / math.sqrt(sched.gain_b(n)))
         pairs = np.empty((self.config.replicates, 2))
         pairs[:, 0] = rescale_q * (self.estimates["theta_bar"][k] - self.oracle.theta_alpha)
         pairs[:, 1] = rescale_sq * (self.estimates["embedded"][k] - self.oracle.vartheta_alpha)

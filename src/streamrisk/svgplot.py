@@ -18,12 +18,13 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 class _Frame:
     def __init__(self, x_range: tuple[float, float], y_range: tuple[float, float]):
-        self.x0, self.x1 = x_range
-        self.y0, self.y1 = y_range
+        self.x0, self.x1 = map(float, x_range)
+        self.y0, self.y1 = map(float, y_range)
+        # Widen an empty range, also one whose ends are too large for + 1 to move.
         if self.x1 <= self.x0:
-            self.x1 = self.x0 + 1.0
+            self.x1 = self.x0 + max(1.0, abs(self.x0))
         if self.y1 <= self.y0:
-            self.y1 = self.y0 + 1.0
+            self.y1 = self.y0 + max(1.0, abs(self.y0))
 
     def px(self, x: float) -> float:
         w = WIDTH - MARGIN_L - MARGIN_R
@@ -129,8 +130,6 @@ def loglog_plot(
 
 
 def _linear_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -140,7 +139,9 @@ def _linear_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     start = math.ceil(lo / step) * step
     ticks = []
     t = start
-    while t <= hi + 1e-12 * step:
+    # At most n + 1 ticks fit; the cap ends the loop where step is below the
+    # float spacing of t, so that t += step does not move it.
+    while t <= hi + 1e-12 * step and len(ticks) <= n:
         ticks.append(t)
         t += step
     return ticks

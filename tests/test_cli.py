@@ -1,11 +1,13 @@
 import contextlib
 import io
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streamrisk import cli, experiments
 from streamrisk.cli import main
@@ -94,6 +96,16 @@ class TestOracleCommand:
         assert capsys.readouterr().out.splitlines()[-1].split() == ["vartheta_over_theta"] + ["n/a"] * 3
         _, header, rows = read_csv(tmp_path / "oracle.csv")
         assert [row[header.index("vartheta_over_theta")] for row in rows] == ["n/a"] * 3
+
+    # Far-out tails: x**2 in the integrand overflowed (an OverflowError
+    # traceback), and the mapped tail integral read v_alpha as inf.
+    @pytest.mark.parametrize("dist", ["exponential:1e-150", "exponential:1e-120"])
+    def test_quadrature_of_a_far_tail_agrees_with_closed_form(self, tmp_path, capsys, dist):
+        assert main(["oracle", "--dist", dist, "--alpha", "0.9", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        _, header, rows = read_csv(tmp_path / "oracle.csv")
+        for key, closed, quadrature in zip(header[1:], rows[0][1:], rows[1][1:]):
+            assert float(quadrature) == pytest.approx(float(closed), rel=1e-8), key
 
 
 @pytest.mark.parametrize("command", ["oracle", "rates"])
@@ -471,3 +483,65 @@ def test_edge_inputs_exit_cleanly(command, dist, alpha, a1, a, b1, b):
         assert "nan" not in out.getvalue(), out.getvalue()
     else:
         assert err.getvalue().startswith(("error: ", "runtime error: ")), err.getvalue()
+
+
+def _run_edge_config(command, *fields):
+    """Exit code, stderr and {name: text} of the files written by ``command``
+    on a config of R = 32 over n 3, 10, 50 with ``fields``, in a temporary
+    directory."""
+    keys = ("dist", "alpha", "a1", "a", "b1", "b", "master_seed", "warm_start")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, err = Path(tmp) / "edge.cfg", Path(tmp) / "out", io.StringIO()
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in zip(keys, fields)) + "n_grid = 3,10,50\nreplicates = 32\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        return code, err.getvalue(), {p.name: p.read_text() for p in sorted(out.glob("*"))}
+
+
+@pytest.mark.parametrize(
+    "command, fields, message",
+    [
+        # Every squared error is 0, so the ratios read 0/0.
+        ("compare", ("gaussian mean=5e-324 stddev=1e-300", 0.9, 1.0, 0.6, 1.0, 0.75, 14),
+         "mse_ratio at n = 3, pair = embedded/classical is nan"),
+        # The squared errors overflow.
+        ("rates", ("uniform lo=-1 hi=3", 1e-300, 1e300, 0.6, 1e-300, 0.999, 34), "mse at variant = theta_bar, n = 3 is inf"),
+        # The jackknife's sum of squares overflows.
+        ("clt", ("exponential rate=1e-100", 0.9, 1.0, 0.6, 1.0, 1, 175), "s22_se at n = 3 is inf"),
+    ],
+    ids=["compare", "rates", "clt"],
+)
+def test_non_finite_aggregate_exits_2_before_writing(command, fields, message):
+    # pytest's filterwarnings makes a numpy warning fail the test.
+    assert _run_edge_config(command, *fields, "true") == (2, f"error: {message}, not finite; nothing was written\n", {})
+
+
+@given(
+    command=st.sampled_from(["rates", "clt", "compare"]),
+    dist=_DIST,
+    alpha=_ALPHA,
+    a1=_NUMBER,
+    a=st.sampled_from(["0.6", "0.6666666666666666", "0.99"]),
+    b1=_NUMBER,
+    b=st.sampled_from(["1", "0.75", "0.51"]),
+    seed=st.integers(0, 1000),
+    warm=st.sampled_from(["true", "false"]),
+)
+# Faults this property found: a fast-regime S^2 that is not positive definite
+# in float arithmetic failed in clt.svg after clt.csv was written, and b_n
+# underflowing to 0 ended in a ZeroDivisionError traceback.
+@example("clt", "exponential:2.0", "5e-324", "5e-324", "0.6", "1.0", "1", 0, "true")
+@example("clt", "exponential:1.0", "5e-324", "5e-324", "0.6", "5e-324", "0.75", 0, "true")
+@settings(max_examples=100, deadline=None)
+def test_run_edge_inputs_exit_cleanly(command, dist, alpha, a1, a, b1, b, seed, warm):
+    # As test_edge_inputs_exit_cleanly, for the run commands: a failure writes
+    # nothing, and a success writes no NaN or infinity into a CSV.
+    code, err, written = _run_edge_config(command, dist, alpha, a1, a, b1, b, seed, warm)
+    assert code in (0, 2, 3), (code, err)
+    if code == 0:
+        for name in ("mse.csv", "ratefit.csv", "clt.csv", "compare.csv"):
+            rows = [line.split(",") for line in written.get(name, "").splitlines() if not line.startswith("#")]
+            assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}, written[name]
+    else:
+        assert err.startswith(("error: ", "runtime error: ")) and err.count("\n") == 1, err
+        assert written == {}, err

@@ -12,9 +12,9 @@ from streamrisk.distributions import (
     numeric_oracle,
     oracle,
     sample,
-    sample_array,
     substream,
 )
+from streamrisk.experiments import _draws
 
 ALL_MODELS = [
     Uniform(0.0, 1.0),
@@ -77,7 +77,8 @@ class TestNumericOracleAgreement:
         o = numeric_oracle(Uniform(0.0, 1.0), 0.25)
         assert abs(o.theta_alpha - 0.25) < 1e-12
 
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=str)
+    # Shapes just above 2, where x^2 f(x) decays slowest.
+    @pytest.mark.parametrize("model", ALL_MODELS + [Pareto(1.0, k) for k in (2.01, 2.05, 2.1)], ids=str)
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_componentwise_agreement(self, model, alpha):
         closed = oracle(model, alpha)
@@ -124,37 +125,40 @@ class TestSampling:
         assert sample(m, substream(7, 0, 1)) != x1
 
     def test_exponential_law_of_large_numbers(self):
-        draws = sample_array(Exponential(1.0), substream(123, 0, 0), 10**6)
+        draws = _draws(Exponential(1.0), [substream(123, 0, 0)], np.empty((1, 10**6)), 0, 0)
         assert abs(draws.mean() - 1.0) < 0.005
 
     def test_pareto_law_of_large_numbers(self):
-        draws = sample_array(Pareto(1.0, 3.0), substream(123, 0, 1), 10**6)
+        draws = _draws(Pareto(1.0, 3.0), [substream(123, 0, 1)], np.empty((1, 10**6)), 0, 0)
         assert abs(draws.mean() - 1.5) < 0.01
 
     @pytest.mark.parametrize("m", ALL_MODELS, ids=repr)
     def test_block_draws_match_scalar_draws(self, m):
-        block = sample_array(m, substream(99, 3, 5), 2000)
-        rng = substream(99, 3, 5)
-        singles = np.array([sample(m, rng) for _ in range(2000)])
-        assert np.array_equal(block, singles)
+        # The engine's draws, two lanes at once, against repeated scalar draws.
+        block = _draws(m, [substream(99, 3, r) for r in (5, 6)], np.empty((2, 2000)), 5, 0)
+        for lane, r in enumerate((5, 6)):
+            rng = substream(99, 3, r)
+            assert np.array_equal(block[lane], [sample(m, rng) for _ in range(2000)])
 
     def test_chunked_generation_matches_unchunked(self):
-        m = Exponential(0.5)
-        rng = substream(5, 0, 0)
-        a = np.concatenate([sample_array(m, rng, 10), sample_array(m, rng, 22)])
-        b = sample_array(m, substream(5, 0, 0), 32)
-        assert np.array_equal(a, b)
+        for m in ALL_MODELS:
+            rng, reference = substream(5, 0, 0), substream(5, 0, 0)
+            chunked = np.concatenate([_draws(m, [rng], np.empty((1, size)), 0, 0)[0] for size in (10, 22)])
+            assert np.array_equal(chunked, [sample(m, reference) for _ in range(32)]), m
 
     def test_zero_draw_is_read_as_zero_draw_constant(self):
         class ZeroRng:
-            def random(self, size=None):
-                return 0.0 if size is None else np.zeros(size)
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out.fill(0.0)
+                return out
 
         m = Gaussian(1.0, 2.0)
         expected = float(m.quantile(ZERO_DRAW))
         assert math.isfinite(expected) and not math.isfinite(m.quantile(0.0))
         assert sample(m, ZeroRng()) == expected
-        assert np.array_equal(sample_array(m, ZeroRng(), 3), np.full(3, expected))
+        assert np.array_equal(_draws(m, [ZeroRng()], np.empty((1, 3)), 0, 0), np.full((1, 3), expected))
         assert sample(Exponential(1.0), ZeroRng()) == 0.0
 
     def test_substream_rejects_negative_components(self):
