@@ -4,7 +4,8 @@
  * at each step, computed once per chunk with libm's pow, as CPython's float
  * ** computes StepSchedule.gain_a/gain_b, so each entry equals the scalar
  * reference's.  advance walks `lanes` replicates through `span` steps of the
- * joint recursion, two lanes per vector with their state in registers; an odd
+ * joint recursion (a chunk ends at each checkpoint, where the caller records
+ * the state), two lanes per vector with their state in registers; an odd
  * last lane fills both halves of its vector and only one is written back.  The
  * vectors are GCC vector extensions, whose operations are IEEE per element, and
  * the indicators are comparison masks ANDed with the bits of 1.0, so a lane
@@ -19,8 +20,6 @@
  * x[l * span + t]      draw of lane l at step n0 + t (lane-major)
  * state[k * ld + l]    estimator k of lane l, in the order theta, theta_bar,
  *                      embedded, classical, bardou; read and written back
- * cp[0..ncp)           ascending step counts in 1..span after which the five
- *                      estimators go to snap[(c * 5 + k) * ld + l]
  */
 #include <stdint.h>
 
@@ -72,8 +71,7 @@ static inline void store_pair(double *p, int64_t d, v2d v)
 }
 
 void advance(int64_t lanes, int64_t span, const double *x, const double *table, int64_t ldt,
-             double alpha, double inv1ma, double *state, int64_t ld, int64_t ncp,
-             const int64_t *cp, double *snap)
+             double alpha, double inv1ma, double *state, int64_t ld)
 {
     const double *gain_a = table, *gain_b = table + ldt;
     const double *cn = table + 2 * ldt, *cn1 = table + 3 * ldt;
@@ -85,7 +83,6 @@ void advance(int64_t lanes, int64_t span, const double *x, const double *table, 
         v2d theta = load_pair(st, d), theta_bar = load_pair(st + ld, d);
         v2d sq_e = load_pair(st + 2 * ld, d), sq_c = load_pair(st + 3 * ld, d);
         v2d sq_b = load_pair(st + 4 * ld, d);
-        int64_t c = 0;
         for (int64_t t = 0; t < span; t++) {
             v2d xt = {x0[t], x1[t]};
             v2d a_n = splat(gain_a[t]), b_n = splat(gain_b[t]);
@@ -102,16 +99,6 @@ void advance(int64_t lanes, int64_t span, const double *x, const double *table, 
             sq_c = sq_c * (one - b_n) + (xt * ind_th) * scale;
             v2d target = ((xt - theta_old) * vinv1ma) * ind_th + theta_old;
             sq_b = sq_b * (one - b_n) + target * b_n;
-
-            if (c < ncp && t + 1 == cp[c]) {
-                double *s = snap + c * 5 * ld + l;
-                store_pair(s, d, theta);
-                store_pair(s + ld, d, theta_bar);
-                store_pair(s + 2 * ld, d, sq_e);
-                store_pair(s + 3 * ld, d, sq_c);
-                store_pair(s + 4 * ld, d, sq_b);
-                c++;
-            }
         }
         store_pair(st, d, theta);
         store_pair(st + ld, d, theta_bar);

@@ -129,7 +129,8 @@ def _cmd_oracle(args) -> int:
     rows = [(getattr(closed, field), getattr(numeric, field)) for field in _ORACLE_FIELDS]
     # vartheta / theta reads as a multiple of the quantile only when theta > 0.
     rows.append(tuple(o.vartheta_alpha / o.theta_alpha if o.theta_alpha > 0 else None for o in (closed, numeric)))
-    rows = [(c, q, None if None in (c, q) else abs(c - q)) for c, q in rows]
+    # Equal values differ by 0, also when both overflow to inf.
+    rows = [(c, q, None if None in (c, q) else 0.0 if c == q else abs(c - q)) for c, q in rows]
     for name, row in zip(header, rows):
         c, q, d = ("n/a" if v is None else format(v, spec) for v, spec in zip(row, (".10g", ".10g", ".3e")))
         print(f"{name:<22}{c:>18}{q:>18}{d:>14}")

@@ -121,8 +121,8 @@ class Gaussian:
         return lo, hi
 
     @property
-    def support_top(self) -> float:
-        return math.inf
+    def support(self) -> tuple[float, float]:
+        return -math.inf, math.inf
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ class Exponential:
         return lo, hi
 
     @property
-    def support_top(self) -> float:
-        return math.inf
+    def support(self) -> tuple[float, float]:
+        return 0.0, math.inf
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,8 @@ class Uniform:
         return self.lo, self.hi
 
     @property
-    def support_top(self) -> float:
-        return self.hi
+    def support(self) -> tuple[float, float]:
+        return self.lo, self.hi
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,8 @@ class Pareto:
         return lo, hi
 
     @property
-    def support_top(self) -> float:
-        return math.inf
+    def support(self) -> tuple[float, float]:
+        return self.scale, math.inf
 
 
 DistributionModel = Union[Gaussian, Exponential, Uniform, Pareto]
@@ -341,13 +341,14 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    theta = _bisect_quantile(model, alpha)
+    lo, hi = model._quantile_bracket(alpha)
+    theta = _bisect_quantile(model, alpha, lo, hi)
     e1 = _tail_integral(model, theta, power=1)
     e2 = _tail_integral(model, theta, power=2)
     quantities = dict(
         theta_alpha=theta,
         vartheta_alpha=e1 / (1.0 - alpha),
-        density_at_quantile=_fd_density(model, theta),
+        density_at_quantile=_fd_density(model, theta, hi - lo),
         v_alpha=e2 - e1 * e1,
     )
     for name, value in quantities.items():
@@ -356,27 +357,23 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     return RiskOracle(alpha=alpha, **quantities)
 
 
-def _bisect_quantile(
-    model: DistributionModel, alpha: float, tol: float = 1e-12, max_iter: int = 400
-) -> float:
-    lo, hi = model._quantile_bracket(alpha)
-    mid = 0.5 * (lo + hi)
-    achieved = math.inf
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = model.cdf(mid)
-        achieved = abs(fm - alpha)
-        if achieved < tol:
+def _bisect_quantile(model: DistributionModel, alpha: float, lo: float, hi: float) -> float:
+    """Where the cdf reaches alpha in [lo, hi], cdf(lo) < alpha < cdf(hi),
+    bisected to float resolution: a midpoint where the cdf equals alpha, or,
+    once no midpoint lies strictly between the ends, the end whose cdf is
+    nearer alpha."""
+    f_lo, f_hi = model.cdf(lo), model.cdf(hi)
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:  # halves first: lo + hi can overflow
+        f_mid = model.cdf(mid)
+        if f_mid == alpha:
             return mid
-        if fm < alpha:
-            lo = mid
+        if f_mid < alpha:
+            lo, f_lo = mid, f_mid
         else:
-            hi = mid
-        if hi - lo <= 4.0 * math.ulp(abs(mid)):
-            break
-    raise QuadratureError(
-        f"bisection stalled at |F(theta)-alpha| = {achieved:.3e} (target {tol:.0e})"
-    )
+            hi, f_hi = mid, f_mid
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise QuadratureError(f"the quantile bracket [{lo!r}, {hi!r}] leaves float range")
+    return lo if alpha - f_lo < f_hi - alpha else hi
 
 
 def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
@@ -386,7 +383,8 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
     past it, plus the rest of a geometric series with the last two decades'
     ratio (exact for a power tail, 0 for a light one).  The piece whose halves
     differ most from its whole is halved, at most _MAX_SPLITS times, until
-    those differences sum to 1e-14 of the total."""
+    those differences sum to 1e-14 of the total, or to 1e-11 of it and a
+    halving no longer lowers their sum."""
     nodes, weights = (v.tolist() for v in np.polynomial.legendre.leggauss(20))
 
     def rule(a: float, b: float) -> float:
@@ -401,7 +399,7 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
         left, right = rule(a, mid), rule(mid, b)
         return -abs(whole - left - right), a, b, index, left, right
 
-    top = model.support_top
+    top = model.support[1]
     bounded = math.isfinite(top)
     split = top if bounded else float(model.quantile(1.0 - _TAIL_EPS))
     edges = [lo]
@@ -414,9 +412,14 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
         edges += [(split if split > 0.0 else 1.0) * 10.0**k for k in range(1, _TAIL_DECADES + 1)]
     heap = [piece(a, b, rule(a, b), i) for i, (a, b) in enumerate(zip(edges, edges[1:]))]
     heapq.heapify(heap)
+    before = math.inf
     for _ in range(_MAX_SPLITS):
-        if not -sum(p[0] for p in heap) > 1e-14 * abs(sum(p[4] + p[5] for p in heap)):  # NaN stops too
+        err, total = -sum(p[0] for p in heap), abs(sum(p[4] + p[5] for p in heap))
+        # Within 1e-11 of the total, an error that a halving no longer lowers is
+        # the nodes' rounding, which more halvings do not remove; NaN stops too.
+        if not err > 1e-14 * total or before <= err <= 1e-11 * total:
             break
+        before = err
         _, a, b, index, left, right = heapq.heappop(heap)
         heapq.heappush(heap, piece(a, 0.5 * (a + b), left, index))
         heapq.heappush(heap, piece(0.5 * (a + b), b, right, index))
@@ -437,16 +440,22 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
     return value
 
 
-def _fd_density(model: DistributionModel, theta: float) -> float:
-    # 5-point central difference of the cdf; independent of model.pdf.
-    h = 3e-4 * max(1.0, abs(theta))
-    num = (
-        -model.cdf(theta + 2.0 * h)
-        + 8.0 * model.cdf(theta + h)
-        - 8.0 * model.cdf(theta - h)
-        + model.cdf(theta - 2.0 * h)
-    )
-    return num / (12.0 * h)
+def _fd_density(model: DistributionModel, theta: float, spread: float) -> float:
+    """The cdf's derivative at theta by a 5-point difference, independent of
+    model.pdf.  The step h is 3e-4 of ``spread`` (the width of the bisection's
+    bracket, which each model opens at its own scale), rounded so that each
+    theta + k h is exact; the stencil is central, or one-sided where it would
+    cross an end of the support.  NaN when no step is left."""
+    h = (theta + 3e-4 * spread) - theta
+    if not h > 0.0:
+        return math.nan
+    bottom, top = model.support
+    if bottom <= theta - 2.0 * h and theta + 2.0 * h <= top:
+        steps, weights = (-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0)
+    else:  # forward from the bottom, or backward (a negative step) from the top
+        h = h if theta - 2.0 * h < bottom else -h
+        steps, weights = range(5), (-25.0, 48.0, -36.0, 16.0, -3.0)
+    return math.fsum(w * model.cdf(theta + k * h) for k, w in zip(steps, weights)) / (12.0 * h)
 
 
 def mend_zero_draws(model: DistributionModel, u, x) -> np.ndarray:

@@ -9,8 +9,11 @@ loads through ``ctypes``, which releases the GIL.  The kernel walks
 replicates two at a time, one per half of a SIMD vector, through a chunk of
 steps with the arithmetic of :func:`streamrisk.estimators.step`, operation
 for operation and without a branch on the data, so a replicate is
-bit-identical to running its stream through the scalar recursion.  One chunk-major loop drives it: the calling
-thread has the kernel fill the chunk's step table (the gains and Cesaro
+bit-identical to running its stream through the scalar recursion.  One
+chunk-major loop drives it and alone knows the checkpoints: a chunk is at most
+4096 steps and ends at the next checkpoint, where the loop copies the state
+into the results, so a grid of G checkpoints adds at most G chunks.  Per chunk
+the calling thread has the kernel fill the step table (the gains and Cesaro
 weights that all replicates share), checks its first gains against the
 schedule, and fans the chunk's 32-replicate sub-blocks out to a pool of
 workers, joining them before the next chunk; a run starts no more workers
@@ -25,7 +28,6 @@ completion order irrelevant to the output.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import ctypes
 import math
@@ -33,7 +35,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -66,7 +68,7 @@ _KERNEL = dict(
     stem="_kernel",
     fallback="folding the scalar reference estimators.step over each replicate, tens of times more slowly",
     step_table=[_I64, _I64, _DBL, _DBL, _DBL, _DBL, _PTR, _I64],
-    advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64, _I64, _PTR, _PTR],
+    advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64],
 )
 
 
@@ -261,13 +263,15 @@ def _check_finite(state: np.ndarray, n: int) -> None:
 
 
 def _advance(kernel, config, rngs, state, out, workers) -> None:
-    """Advance ``state`` (5, lanes) in chunks of _KERNEL_STEPS steps.  The
+    """Advance ``state`` (5, lanes) through the n-grid in chunks of at most
+    _KERNEL_STEPS steps, none of which runs past the next checkpoint; on
+    reaching checkpoint c the loop copies ``state`` into ``out[c]``.  The
     calling thread has the kernel fill the chunk's step table once, then maps
     the chunk's sub-blocks of _KERNEL_LANES lanes over ``workers`` threads and
     joins them before the next chunk.  Each sub-block is drawn and then walked
     through the chunk by the kernel, or by estimators.step when ``kernel`` is
-    None, either of which writes the checkpoints into ``out``."""
-    sched, model, grid = config.schedule, config.model, config.n_grid
+    None."""
+    sched, model = config.schedule, config.model
     r_total = len(rngs)
     table = np.empty((4, _KERNEL_STEPS))  # gain_a, gain_b, n/(n+1), 1/(n+1)
     inv1ma = 1.0 / (1.0 - config.alpha)
@@ -283,44 +287,38 @@ def _advance(kernel, config, rngs, state, out, workers) -> None:
         u = mine.buf[: (hi - lo) * span].reshape(hi - lo, span)
         mine.x = x = _draws(model, rngs[lo:hi], u, lo, n)
         if kernel is None:
-            _fold_scalar(config, x, n, grid[grid_pos:stop], state[:, lo:hi], out[grid_pos:stop, :, lo:hi])
+            _fold_scalar(config, x, n, state[:, lo:hi])
         else:
             kernel.advance(hi - lo, span, x.ctypes.data, table.ctypes.data, _KERNEL_STEPS,
-                           config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total,
-                           len(steps), steps.ctypes.data, snap + 8 * lo)
+                           config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total)
 
-    n = grid_pos = 0
+    n = 0
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         fan_out = map if pool is None else pool.map
-        while n < grid[-1]:
-            span = min(_KERNEL_STEPS, grid[-1] - n)
-            if kernel is not None:
-                kernel.step_table(span, n, sched.a1, sched.a_exp, sched.b1, sched.b_exp,
-                                  table.ctypes.data, _KERNEL_STEPS)
-                # The table must hold the schedule's own gains: a schedule whose
-                # gains are not the power laws of its fields, or a pow that is
-                # not the interpreter's, would part the kernel from estimators.step.
-                if table[0, 0] != sched.gain_a(max(n, 1)) or table[1, 0] != sched.gain_b(n):
-                    raise RuntimeError(f"step table differs from the schedule's gains at step {n}")
-            stop = bisect.bisect_right(grid, n + span, grid_pos)
-            steps = np.array([g - n for g in grid[grid_pos:stop]], dtype=np.int64)
-            snap = out.ctypes.data + 8 * grid_pos * out.shape[1] * r_total
-            list(fan_out(sub_block, range(0, r_total, _KERNEL_LANES)))
-            n += span
-            grid_pos = stop
-            _check_finite(state, n)
+        for c, checkpoint in enumerate(config.n_grid):
+            while n < checkpoint:
+                span = min(_KERNEL_STEPS, checkpoint - n)
+                if kernel is not None:
+                    kernel.step_table(span, n, sched.a1, sched.a_exp, sched.b1, sched.b_exp,
+                                      table.ctypes.data, _KERNEL_STEPS)
+                    # The table must hold the schedule's own gains: a schedule whose
+                    # gains are not the power laws of its fields, or a pow that is
+                    # not the interpreter's, would part the kernel from estimators.step.
+                    if table[0, 0] != sched.gain_a(max(n, 1)) or table[1, 0] != sched.gain_b(n):
+                        raise RuntimeError(f"step table differs from the schedule's gains at step {n}")
+                list(fan_out(sub_block, range(0, r_total, _KERNEL_LANES)))
+                n += span
+                _check_finite(state, n)
+            out[c] = state
 
 
-def _fold_scalar(config, x, n, checkpoints, state, out) -> None:
+def _fold_scalar(config, x, n, state) -> None:
     """The kernel's work done by estimators.run_stream: each lane of ``x``
-    steps on from counter ``n`` and its column of ``state``, leaving its five
-    estimators in ``out[c]`` when the counter reaches ``checkpoints[c]`` and
-    its final state back in ``state``."""
+    steps on from counter ``n`` and its column of ``state``, and leaves its
+    final state back in ``state``."""
     for lane, draws in enumerate(x.tolist()):
         start = JointEstimatorState(config.alpha, config.schedule, n, *state[:, lane].tolist())
-        end, rows = run_stream(start, draws, checkpoints)
-        for c, row in enumerate(rows):
-            out[c, :, lane] = row[1:]
+        end = run_stream(start, draws)
         state[:, lane] = (end.theta, end.theta_bar, end.sq_embedded, end.sq_classical, end.sq_bardou)
 
 

@@ -77,9 +77,16 @@ class TestNumericOracleAgreement:
         o = numeric_oracle(Uniform(0.0, 1.0), 0.25)
         assert abs(o.theta_alpha - 0.25) < 1e-12
 
-    # Shapes just above 2, where x^2 f(x) decays slowest.
-    @pytest.mark.parametrize("model", ALL_MODELS + [Pareto(1.0, k) for k in (2.01, 2.05, 2.1)], ids=str)
-    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    # Pareto shapes just above 2, where x^2 f(x) decays slowest; models whose
+    # spread is far from max(1, |theta|); and quantiles 1e-4 below Uniform's top.
+    @pytest.mark.parametrize(
+        "model",
+        ALL_MODELS
+        + [Pareto(1.0, k) for k in (2.01, 2.05, 2.1)]
+        + [Gaussian(1e6, 10.0), Gaussian(-50.0, 0.1), Exponential(1e6)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("alpha", ALPHA_GRID + (0.9999,))
     def test_componentwise_agreement(self, model, alpha):
         closed = oracle(model, alpha)
         numeric = numeric_oracle(model, alpha)

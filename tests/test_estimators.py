@@ -240,9 +240,10 @@ def test_kernel_matches_scalar_stream(model, warm, replicates, n_grid):
     "model, alpha, warm", [(sr.Uniform(0, 1), 0.5, False), (sr.Pareto(1.0, 2.2), 0.9, True)], ids=["Uniform", "Pareto"]
 )
 def test_kernel_matches_scalar_stream_on_every_lane(model, alpha, warm, replicates):
-    # Checkpoints on and next to the first chunk boundary check the state that
-    # each pair writes back and reads again in the next chunk.
-    n_grid = (3, _KERNEL_CHUNK - 1, _KERNEL_CHUNK, _KERNEL_CHUNK + 2)
+    # Checkpoints 1 and 2 make one-step chunks, and those on and next to the
+    # first chunk boundary check the state that each pair writes back and
+    # reads again in the next chunk.
+    n_grid = (1, 2, 3, _KERNEL_CHUNK - 1, _KERNEL_CHUNK, _KERNEL_CHUNK + 2)
     cfg = ExperimentConfig(model=model, alpha=alpha, schedule=FAST, n_grid=n_grid, replicates=replicates,
                            master_seed=2718, warm_start=warm)
     oracle = sr.oracle(model, alpha)

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import streamrisk as sr
-from streamrisk import _native
+from streamrisk import _native, distributions
 from streamrisk import experiments as ex
 from streamrisk.distributions import ZERO_DRAW, sample, substream
 from streamrisk.estimators import JointEstimatorState, init, step
@@ -313,7 +314,7 @@ def test_kernel_draw_equal_to_an_iterate_counts_as_not_above(kernel):
         step(st_, float(x[lane]))
         want.append((st_.theta, st_.theta_bar, st_.sq_embedded, st_.sq_classical, st_.sq_bardou))
     kernel.advance(lanes, 1, x.ctypes.data, table.ctypes.data, 1, alpha, 1.0 / (1.0 - alpha),
-                   state.ctypes.data, lanes, 0, None, None)
+                   state.ctypes.data, lanes)
     assert state.T.tolist() == [list(row) for row in want]
 
 
@@ -386,15 +387,32 @@ def test_c_source_compiles_without_warnings(tmp_path, source):
     assert done.returncode == 0, done.stderr
 
 
+_C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+
+@pytest.mark.parametrize("spec", [ex._KERNEL, distributions._NORMAL], ids=lambda spec: spec["stem"])
+def test_ctypes_signatures_match_c_prototypes(spec):
+    # ctypes passes what argtypes says, whatever the C function takes: a
+    # mismatch is undefined behaviour that no call reports.
+    source = Path(ex.__file__).with_name(f"{spec['stem']}.c").read_text()
+    prototypes = {
+        name: [ctypes.c_void_p if "*" in param else _C_TYPES[param.split()[-2]] for param in params.split(",")]
+        for name, params in re.findall(r"^void (\w+)\(([^)]*)\)", source, re.M)
+    }
+    assert prototypes == {name: argtypes for name, argtypes in spec.items() if name not in ("stem", "fallback")}
+
+
 @pytest.mark.parametrize("warm", [True, False])
 @pytest.mark.parametrize(
     "model", [sr.Uniform(0, 1), sr.Exponential(1.0), sr.Pareto(1.0, 2.2), sr.Gaussian(0.0, 1.0)], ids=str
 )
 def test_failed_kernel_build_falls_back_to_scalar_reference(monkeypatch, model, warm):
-    # 35 lanes cross a sub-block boundary, and the checkpoints a chunk boundary,
-    # over which the fold must carry each lane's state.
-    cfg = small_config(model=model, warm_start=warm, replicates=ex._KERNEL_LANES + 3,
-                       n_grid=(10, 4095, 4096, 4097))
+    # 35 lanes cross a sub-block boundary, and the checkpoints make one-step
+    # chunks (1, 2) and cross a chunk boundary, over all of which the fold must
+    # carry each lane's state.  Warm runs also end a full chunk past the second
+    # boundary (a cold start differs only in the state it starts from).
+    n_grid = (1, 2, 10, 4095, 4096, 4097) + ((2 * ex._KERNEL_STEPS + 1,) if warm else ())
+    cfg = small_config(model=model, warm_start=warm, replicates=ex._KERNEL_LANES + 3, n_grid=n_grid)
     expected = run_experiment(cfg).estimates
     # The compiler writes the marker reversed back, so it is in its stderr
     # only, not in the command line that str(CalledProcessError) quotes.
