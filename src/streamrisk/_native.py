@@ -3,11 +3,14 @@
 Each library is compiled from its source next to this file with the
 interpreter's C compiler, on the first :func:`load` of a process and never at
 import, into a private directory: no cache to invalidate or share.  The loaded
-library stays mapped after the directory is removed.  The flags keep
-floating-point contraction off, and no flag lets the compiler replace a libm
-call, so the compiled arithmetic rounds as the Python reference it mirrors
-does.  The sources' vector-extension arithmetic is IEEE per element, so these
-flags keep it bit-exact too.
+library stays mapped after the directory is removed.  It is built for the
+host's own instruction set (``-march=native``), so a library is never moved
+to another machine, and the sources pick their vector width from the
+compiler's ISA macros.  The flags keep floating-point contraction off, and no
+flag lets the compiler replace a libm call (libm itself is the process's, as
+for the Python reference), so the compiled arithmetic rounds as the Python
+reference it mirrors does.  The sources' vector-extension arithmetic is IEEE
+per element, so it gives the same bits at any width these flags select.
 
 A library that cannot be built is reported by one ``RuntimeWarning`` per
 process and read as None, and its caller runs its scalar Python reference
@@ -48,7 +51,7 @@ def compile_command(stem: str, output: str) -> list[str]:
     """The compiler command that builds ``<stem>.c`` into ``output``."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     source = Path(__file__).with_name(f"{stem}.c")
-    return [*cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared", "-o", output, str(source), "-lm"]
+    return [*cc, "-O2", "-march=native", "-ffp-contract=off", "-fPIC", "-shared", "-o", output, str(source), "-lm"]
 
 
 def _build(stem: str, fallback: str, signatures: dict) -> ctypes.CDLL | None:

@@ -10,14 +10,17 @@
  *
  * ndtri(0) = -inf, ndtri(1) = inf, and u outside [0, 1] or NaN gives NaN.
  * The draws go in blocks of BLOCK, with no branch on a draw's value: every draw
- * takes the central approximation, two per vector (GCC vector extensions:
- * IEEE operations per element, which round as the scalar ones); the tail draws
- * are then compacted and redone, their log and sqrt in a scalar loop, their
- * P1/Q1 polynomials two per vector.  The scalar far_tail redoes the few draws
+ * takes the central approximation, W per vector (GCC vector extensions: IEEE
+ * operations per element, which round as the scalar ones), and that pass's
+ * comparison masks append the tail draws to a compacted list; the tails are
+ * then redone, their log and sqrt in a scalar loop (libm's, as the scalar
+ * routine calls them), their P1/Q1 polynomials W per vector.  W is 4 where the
+ * compiler targets AVX2 and 2 (one SSE2 register) elsewhere; the results are
+ * the same bits at either width.  The scalar far_tail redoes the few draws
  * those passes leave over: 0, 1, NaN, values outside [0, 1], and y <= exp(-32).
  * The tests pin every path to distributions._ndtri and to Cephes' own ndtri.
  * The vector polynomial loops are unrolled: at -O2 gcc keeps them as loops,
- * which costs about 3-4 ns of the 14-19 ns a draw takes.
+ * which costs about 3-4 ns of the 14-19 ns a 2-wide draw takes.
  */
 #include <stdint.h>
 
@@ -107,27 +110,39 @@ static double far_tail(double y0)
     return negate ? -x : x;
 }
 
-typedef double v2d __attribute__((vector_size(16)));
-typedef int64_t v2i __attribute__((vector_size(16)));
+/* One register per vector: without AVX2, gcc lowers a 32-byte vector
+ * piecewise, and it runs slower than scalar code. */
+#ifdef __AVX2__
+#define W 4
+#else
+#define W 2
+#endif
+typedef double vd __attribute__((vector_size(8 * W)));
+typedef int64_t vi __attribute__((vector_size(8 * W)));
 
-static inline v2d splat(double a)
+/* Every element a (as (vd){} + a would not be for a = -0.0). */
+static inline vd splat(double a)
 {
-    return (v2d){a, a};
+    vd v;
+#pragma GCC unroll 4
+    for (int j = 0; j < W; j++)
+        v[j] = a;
+    return v;
 }
 
-/* polevl and p1evl of two arguments at once. */
-static inline v2d polevl2(v2d x, const double *c, int n)
+/* polevl and p1evl of W arguments at once. */
+static inline vd polevlv(vd x, const double *c, int n)
 {
-    v2d ans = splat(c[0]);
+    vd ans = splat(c[0]);
 #pragma GCC unroll 16
     for (int i = 1; i <= n; i++)
         ans = ans * x + splat(c[i]);
     return ans;
 }
 
-static inline v2d p1evl2(v2d x, const double *c, int n)
+static inline vd p1evlv(vd x, const double *c, int n)
 {
-    v2d ans = x + splat(c[0]);
+    vd ans = x + splat(c[0]);
 #pragma GCC unroll 16
     for (int i = 1; i < n; i++)
         ans = ans * x + splat(c[i]);
@@ -135,22 +150,32 @@ static inline v2d p1evl2(v2d x, const double *c, int n)
 }
 
 /* ndtri's central approximation: ndtri(y0) for y0 in (exp(-2), 1 - exp(-2)]. */
-static inline v2d central(v2d y0)
+static inline vd central(vd y0)
 {
-    v2d y = y0 - splat(0.5);
-    v2d y2 = y * y;
-    v2d x = y + y * (y2 * polevl2(y2, P0, 4) / p1evl2(y2, Q0, 8));
-    return x * splat(S2PI);
+    vd y = y0 - 0.5;
+    vd y2 = y * y;
+    vd x = y + y * (y2 * polevlv(y2, P0, 4) / p1evlv(y2, Q0, 8));
+    return x * S2PI;
 }
 
 /* ndtri's tail approximation from x = sqrt(-2 log y) in [2, 8) and lx =
  * log(x), negated where neg is -0.0 (its sign bit flips the result's). */
-static inline v2d tail(v2d x, v2d lx, v2d neg)
+static inline vd tail(vd x, vd lx, vd neg)
 {
-    v2d x0 = x - lx / x;
-    v2d z = splat(1.0) / x;
-    v2d x1 = z * polevl2(z, P1, 8) / p1evl2(z, Q1, 8);
-    return (v2d)((v2i)(x0 - x1) ^ (v2i)neg);
+    vd x0 = x - lx / x;
+    vd z = 1.0 / x;
+    vd x1 = z * polevlv(z, P1, 8) / p1evlv(z, Q1, 8);
+    return (vd)((vi)(x0 - x1) ^ (vi)neg);
+}
+
+/* Elements 0..W-1 of p, or of p[0..count) with its last element repeated. */
+static inline vd load(const double *p, int count)
+{
+    vd v;
+#pragma GCC unroll 4
+    for (int j = 0; j < W; j++)
+        v[j] = p[j < count ? j : count - 1];
+    return v;
 }
 
 #define BLOCK 256
@@ -158,36 +183,42 @@ static inline v2d tail(v2d x, v2d lx, v2d neg)
 /* Draws u[0..m), m <= BLOCK, into x. */
 static void block(int m, const double *u, double mean, double sd, double *x)
 {
-    const v2d vmean = splat(mean), vsd = splat(sd);
     /* Tail draw k is u[idx[k]] = y0[k]; y[k] is what ndtri takes the log of,
-     * neg[k] its sign, tx[k] and lx[k] its x and log(x).  The spare last slot
-     * pads an odd count of tails to whole vectors. */
-    double y0[BLOCK + 1], y[BLOCK + 1], neg[BLOCK + 1], tx[BLOCK + 1], lx[BLOCK + 1];
+     * neg[k] its sign, tx[k] and lx[k] its x and log(x).  The spare last
+     * slots pad the tails to whole vectors. */
+    double y0[BLOCK + W], y[BLOCK + W], neg[BLOCK + W], tx[BLOCK + W], lx[BLOCK + W];
     int idx[BLOCK], redo[BLOCK];
+    /* Every draw takes the central approximation; those outside (exp(-2),
+     * 1 - exp(-2)] are appended to the tails on the pass's comparison mask. */
     int nt = 0;
-    for (int i = 0; i < m; i++) {
-        idx[nt] = i;
-        y0[nt] = u[i];
-        nt += !((u[i] > EXP_M2) & (u[i] <= 1.0 - EXP_M2));
-    }
-
-    for (int i = 0; i < m; i += 2) {
-        int j = i + 1 < m ? i + 1 : i;  /* an odd last draw fills both halves */
-        v2d r = vmean + vsd * central((v2d){u[i], u[j]});
-        x[i] = r[0];
-        x[j] = r[1];
+    for (int i = 0; i < m; i += W) {
+        int count = m - i < W ? m - i : W;
+        vd v = load(u + i, count);
+        vi above = (vi)(v > splat(EXP_M2)), upto = (vi)(v <= splat(1.0 - EXP_M2));
+        vd r = mean + sd * central(v);
+#pragma GCC unroll 4
+        for (int j = 0; j < count; j++) {
+            x[i + j] = r[j];
+            idx[nt] = i + j;
+            y0[nt] = v[j];
+            nt += 1 + (int)(above[j] & upto[j]);  /* a mask is -1 where set */
+        }
     }
 
     /* Above 1 - exp(-2), y = 1 - y0 and the result keeps its sign; below, y =
      * y0 and the result is negated.  Both are selected on the comparison mask. */
-    y0[nt] = 0.5;
-    for (int k = 0; k < nt; k += 2) {
-        v2d v = {y0[k], y0[k + 1]};
-        v2i upper = (v2i)(v > splat(1.0 - EXP_M2));
-        v2d w = (v2d)((upper & (v2i)(splat(1.0) - v)) | (~upper & (v2i)v));
-        v2d s = (v2d)(~upper & (v2i)splat(-0.0));
-        y[k] = w[0], y[k + 1] = w[1];
-        neg[k] = s[0], neg[k + 1] = s[1];
+    for (int j = 0; j < W; j++)
+        y0[nt + j] = 0.5;
+    for (int k = 0; k < nt; k += W) {
+        vd v = load(y0 + k, W);
+        vi upper = (vi)(v > 1.0 - EXP_M2);
+        vd w = (vd)((upper & (vi)(1.0 - v)) | (~upper & (vi)v));
+        vd s = (vd)(~upper & (vi)splat(-0.0));
+#pragma GCC unroll 4
+        for (int j = 0; j < W; j++) {
+            y[k + j] = w[j];
+            neg[k + j] = s[j];
+        }
     }
     /* x >= 8 takes ndtri's P2/Q2 approximation; 0, 1, NaN and values outside
      * [0, 1] make x infinite or NaN.  far_tail redoes all of them. */
@@ -199,13 +230,14 @@ static void block(int m, const double *u, double mean, double sd, double *x)
         redo[nr] = k;
         nr += !(t < 8.0);
     }
-    tx[nt] = lx[nt] = 1.0;
-    for (int k = 0; k < nt; k += 2) {
-        v2d r = vmean + vsd * tail((v2d){tx[k], tx[k + 1]}, (v2d){lx[k], lx[k + 1]},
-                                    (v2d){neg[k], neg[k + 1]});
-        x[idx[k]] = r[0];
-        if (k + 1 < nt)
-            x[idx[k + 1]] = r[1];
+    for (int j = 0; j < W; j++)
+        tx[nt + j] = lx[nt + j] = 1.0;
+    for (int k = 0; k < nt; k += W) {
+        vd r = mean + sd * tail(load(tx + k, W), load(lx + k, W), load(neg + k, W));
+#pragma GCC unroll 4
+        for (int j = 0; j < W; j++)
+            if (k + j < nt)
+                x[idx[k + j]] = r[j];
     }
     for (int j = 0; j < nr; j++)
         x[idx[redo[j]]] = mean + sd * far_tail(y0[redo[j]]);

@@ -337,7 +337,9 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     Deliberately avoids the closed-form tail moments and the inverse cdf
     (except to place the finite/infinite split point of the tail integral), so
     it can serve as an independent check of :func:`oracle`.  A quantity that
-    comes out non-finite raises :class:`QuadratureError`.
+    comes out non-finite, or quantities that break :class:`RiskOracle`'s
+    invariants, raise :class:`QuadratureError`: the quadrature was too coarse
+    for the model.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -354,7 +356,10 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     for name, value in quantities.items():
         if not math.isfinite(value):
             raise QuadratureError(f"{name} of {model} at alpha = {alpha!r} is {value} by quadrature")
-    return RiskOracle(alpha=alpha, **quantities)
+    try:
+        return RiskOracle(alpha=alpha, **quantities)
+    except ValueError as exc:
+        raise QuadratureError(str(exc)) from exc
 
 
 def _bisect_quantile(model: DistributionModel, alpha: float, lo: float, hi: float) -> float:

@@ -3,13 +3,18 @@ empirical CLT covariances, and paired variant comparison.  The theory these
 measurements are read against lives in :mod:`streamrisk.asymptotics`; nothing
 here computes it.
 
-Replicates advance in a small C kernel (``_kernel.c``), which
+Replicates draw and advance in a small C kernel (``_kernel.c``), which
 :func:`streamrisk._native.load` compiles on the first run of a process and
-loads through ``ctypes``, which releases the GIL.  The kernel walks
-replicates two at a time, one per half of a SIMD vector, through a chunk of
-steps with the arithmetic of :func:`streamrisk.estimators.step`, operation
-for operation and without a branch on the data, so a replicate is
-bit-identical to running its stream through the scalar recursion.  One
+loads through ``ctypes``, which releases the GIL.  The kernel draws each
+replicate's uniforms with a port of numpy's PCG64 that equals
+``Generator.random`` bit for bit, from a copy of each generator's state read
+once per run (after a cold start's first draw, which numpy makes), so the
+generator objects are read, not advanced; generators of any other kind draw
+through their own ``random``.  It walks replicates two SIMD vectors at a
+time, a replicate per vector element, through a chunk of steps with the
+arithmetic of :func:`streamrisk.estimators.step`, operation for operation and
+without a branch on the data, so a replicate is bit-identical to running its
+stream through the scalar recursion.  One
 chunk-major loop drives it and alone knows the checkpoints: a chunk is at most
 4096 steps and ends at the next checkpoint, where the loop copies the state
 into the results, so a grid of G checkpoints adds at most G chunks.  Per chunk
@@ -19,8 +24,9 @@ schedule, and fans the chunk's 32-replicate sub-blocks out to a pool of
 workers, joining them before the next chunk; a run starts no more workers
 than its ``threads``, the CPUs it may use, or its sub-blocks.  No Python runs
 per step.  When no compiler works, the same loop folds the scalar recursion
-over each replicate in the kernel's place, after one ``RuntimeWarning`` per
-process: the same results, tens of times more slowly.
+over each replicate in the kernel's place, with draws from the generators
+themselves, after one ``RuntimeWarning`` per process: the same results, tens
+of times more slowly.
 Each replicate owns the substream (master_seed, experiment_id, replicate) and
 its own columns of the state and results, which makes thread count and
 completion order irrelevant to the output.
@@ -61,12 +67,14 @@ _KERNEL_STEPS = 4096
 _GENERATOR_BYTES = 1024
 _CHECKPOINT_BYTES = 5 * 8
 
-# The engine's kernel, as _native.load takes it: the C signatures of its two
+# The engine's kernel, as _native.load takes it: the C signatures of its three
 # functions, and what runs in its place when it cannot be built.
 _I64, _PTR, _DBL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+_LOW64 = 2**64 - 1
 _KERNEL = dict(
     stem="_kernel",
     fallback="folding the scalar reference estimators.step over each replicate, tens of times more slowly",
+    draw=[_I64, _I64, _PTR, _PTR],
     step_table=[_I64, _I64, _DBL, _DBL, _DBL, _DBL, _PTR, _I64],
     advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64],
 )
@@ -236,10 +244,15 @@ def _simulate_block(
 
 def _draws(model: DistributionModel, rngs, u: np.ndarray, first_replicate: int, n: int) -> np.ndarray:
     """Fill row j of ``u`` (lanes, steps) with the next draws of ``rngs[j]``
-    and return their transform as a C-contiguous array; steps count from
-    ``n + 1`` and rows from replicate ``first_replicate``."""
+    and return their transform (see _transform)."""
     for row, rng in zip(u, rngs):
         rng.random(out=row)
+    return _transform(model, u, first_replicate, n)
+
+
+def _transform(model: DistributionModel, u: np.ndarray, first_replicate: int, n: int) -> np.ndarray:
+    """The transform of draws ``u`` (lanes, steps) as a C-contiguous array;
+    steps count from ``n + 1`` and rows from replicate ``first_replicate``."""
     x = np.ascontiguousarray(model.quantile(u), dtype=np.float64)
     if x.shape != u.shape:  # the kernel reads x through a raw pointer
         raise ValueError(f"quantile of {u.shape} draws returned shape {x.shape}")
@@ -252,6 +265,20 @@ def _draws(model: DistributionModel, rngs, u: np.ndarray, first_replicate: int, 
                 f"step {n + int(bad[0, 1]) + 1}"
             )
     return x
+
+
+def _pcg64_words(rngs) -> np.ndarray | None:
+    """Each generator's PCG64 state and increment as a (lanes, 4) uint64 array,
+    low words first, as the kernel's draw reads and advances them; None unless
+    every generator is a numpy Generator on a PCG64, whose random the kernel
+    reproduces.  The generators are read, not advanced."""
+    if not all(type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64 for rng in rngs):
+        return None
+    words = np.empty((len(rngs), 4), dtype=np.uint64)
+    for row, rng in zip(words, rngs):
+        pcg = rng.bit_generator.state["state"]
+        row[:] = (pcg["state"] & _LOW64, pcg["state"] >> 64, pcg["inc"] & _LOW64, pcg["inc"] >> 64)
+    return words
 
 
 def _check_finite(state: np.ndarray, n: int) -> None:
@@ -268,11 +295,13 @@ def _advance(kernel, config, rngs, state, out, workers) -> None:
     reaching checkpoint c the loop copies ``state`` into ``out[c]``.  The
     calling thread has the kernel fill the chunk's step table once, then maps
     the chunk's sub-blocks of _KERNEL_LANES lanes over ``workers`` threads and
-    joins them before the next chunk.  Each sub-block is drawn and then walked
-    through the chunk by the kernel, or by estimators.step when ``kernel`` is
-    None."""
+    joins them before the next chunk.  Each sub-block is drawn, by the kernel
+    from a copy of its generators' states taken here or else by the
+    generators themselves, transformed, and walked through the chunk by the
+    kernel, or by estimators.step when ``kernel`` is None."""
     sched, model = config.schedule, config.model
     r_total = len(rngs)
+    words = None if kernel is None else _pcg64_words(rngs)
     table = np.empty((4, _KERNEL_STEPS))  # gain_a, gain_b, n/(n+1), 1/(n+1)
     inv1ma = 1.0 / (1.0 - config.alpha)
     # Each thread reuses one draw buffer and holds its last transform until the
@@ -285,7 +314,11 @@ def _advance(kernel, config, rngs, state, out, workers) -> None:
         if not hasattr(mine, "buf"):
             mine.buf = np.empty(min(_KERNEL_LANES, r_total) * _KERNEL_STEPS)
         u = mine.buf[: (hi - lo) * span].reshape(hi - lo, span)
-        mine.x = x = _draws(model, rngs[lo:hi], u, lo, n)
+        if words is None:
+            mine.x = x = _draws(model, rngs[lo:hi], u, lo, n)
+        else:
+            kernel.draw(hi - lo, span, words[lo:].ctypes.data, u.ctypes.data)
+            mine.x = x = _transform(model, u, lo, n)
         if kernel is None:
             _fold_scalar(config, x, n, state[:, lo:hi])
         else:

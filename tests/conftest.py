@@ -1,8 +1,40 @@
+import ctypes
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
+from streamrisk import _native
 from streamrisk.asymptotics import clt_covariance_fast
 from streamrisk.distributions import RiskOracle
+
+# The vector widths the C sources compile to: the host's (4 doubles where the
+# compiler targets AVX2) and the 2 doubles of a target without AVX2.
+WIDTHS = ("host", "2-double")
+
+
+def width_command(stem: str, output: str, width: str) -> list[str]:
+    """_native's command that builds ``<stem>.c`` into ``output``, at ``width``:
+    for 2 doubles, for the compiler's default target with __AVX2__ undefined."""
+    command = _native.compile_command(stem, output)
+    if width == "2-double":
+        command = [arg for arg in command if arg != "-march=native"] + ["-U__AVX2__"]
+    if shutil.which(command[0]) is None:
+        pytest.skip(f"no C compiler {command[0]!r} here")
+    return command
+
+
+def build_at_width(spec: dict, directory, width: str) -> ctypes.CDLL:
+    """The library of ``spec``, as _native.load takes it, built in ``directory`` at ``width``."""
+    output = str(directory / f"{spec['stem']}-{width}.so")
+    subprocess.run(width_command(spec["stem"], output, width), check=True, capture_output=True, timeout=120)
+    library = ctypes.CDLL(output)
+    for name, argtypes in spec.items():
+        if name not in ("stem", "fallback"):
+            getattr(library, name).argtypes = argtypes
+            getattr(library, name).restype = None
+    return library
 
 
 @pytest.fixture

@@ -443,6 +443,16 @@ def test_quadrature_oracle_out_of_float_range_exits_3(capsys, dist, alpha, messa
     assert capsys.readouterr().err == f"runtime error: {message}\n"
 
 
+def test_quadrature_too_coarse_for_the_model_exits_3(capsys):
+    # The closed form accepts this narrow Gaussian far from 0, but the
+    # quadrature's superquantile lands below its quantile: RiskOracle's
+    # invariant fails inside numeric_oracle, which is a quadrature failure,
+    # not a usage error.
+    dist, alpha = "gaussian:-523581.07343374286,0.00015423031483910525", "0.3457830769015436"
+    assert main(["oracle", "--dist", dist, "--alpha", alpha]) == 3
+    assert capsys.readouterr().err.startswith("runtime error: superquantile must dominate the quantile: ")
+
+
 # Values that sit at or past the edges of float arithmetic, for the property below.
 _EDGE_NUMBERS = ["0", "-0", "5e-324", "1e-300", "-1e-300", "1e300", "-1e300", "1e308", "-1e308",
                  "nan", "inf", "-inf", "1", "-1", "0.5", "2.5"]

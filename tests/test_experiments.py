@@ -3,7 +3,6 @@ import math
 import os
 import re
 import shlex
-import shutil
 import subprocess
 import sys
 import sysconfig
@@ -15,6 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import WIDTHS, build_at_width, width_command
 
 import streamrisk as sr
 from streamrisk import _native, distributions
@@ -242,16 +243,17 @@ class TestRunExperiment:
     def test_zero_draw_is_read_as_zero_draw_constant(self):
         # A u = 0 draw maps to -inf under the Gaussian inverse cdf; the engine
         # must read it as ZERO_DRAW, as the scalar reference does, in the
-        # initial draw (lane 0) and inside a chunk (lane 1).
+        # initial draw (lane 0, drawn by numpy) and inside a chunk (lane 1,
+        # drawn by the kernel).
         cfg = small_config(model=sr.Gaussian(0.0, 1.0), n_grid=(3, 40), replicates=3)
         zero_at = {0: 0, 1: 7}
 
         def rngs():
-            return [
-                _ZeroAt(substream(555, 0, r), zero_at[r]) if r in zero_at else substream(555, 0, r)
-                for r in range(3)
-            ]
+            return [_zero_at(substream(555, 0, r), zero_at[r]) if r in zero_at else substream(555, 0, r)
+                    for r in range(3)]
 
+        assert [rng.random(8).tolist().index(0.0) for rng in rngs()[:2]] == [0, 7]
+        assert ex._pcg64_words(rngs()) is not None
         block = _simulate_block(cfg, sr.oracle(cfg.model, cfg.alpha), rngs())
         for r, rng in enumerate(rngs()):
             x0 = sample(cfg.model, rng)
@@ -264,6 +266,25 @@ class TestRunExperiment:
                 assert block["theta"][k, r] == state.theta
                 assert block["embedded"][k, r] == state.sq_embedded
                 assert block["bardou"][k, r] == state.sq_bardou
+
+    def test_generators_the_kernel_cannot_draw_for_draw_themselves(self):
+        # The kernel reproduces Generator.random on PCG64 only: generators on
+        # another bit generator, or objects that only act like a Generator,
+        # must draw through their own random.
+        cfg = small_config(n_grid=(5, 4100), replicates=3)
+        oracle = sr.oracle(cfg.model, cfg.alpha)
+        for make in (lambda r: np.random.Generator(np.random.Philox(r)), lambda r: _Like(substream(9, 0, r))):
+            assert ex._pcg64_words([make(r) for r in range(3)]) is None
+            block = _simulate_block(cfg, oracle, [make(r) for r in range(3)])
+            for r in range(3):
+                rng = make(r)
+                x0 = sample(cfg.model, rng)
+                state = init(cfg.alpha, FAST, x0, x0 / (1.0 - cfg.alpha))
+                for k, n_target in enumerate(cfg.n_grid):
+                    while state.n < n_target:
+                        step(state, sample(cfg.model, rng))
+                    assert block["theta"][k, r] == state.theta
+                    assert block["bardou"][k, r] == state.sq_bardou
 
 
 def _record_pools(monkeypatch) -> list[int]:
@@ -278,18 +299,36 @@ def _record_pools(monkeypatch) -> list[int]:
     return pools
 
 
-class _ZeroAt:
-    """Generator stub: the draws of ``rng`` with draw number ``k`` set to 0."""
+# numpy's PCG64 multiplier and its inverse modulo 2**128.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
 
-    def __init__(self, rng: np.random.Generator, k: int) -> None:
-        self.rng, self.k, self.drawn = rng, k, 0
+
+def _zero_at(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """``rng`` set to a state from which its draw number ``k`` (from 0) is
+    exactly 0.0.  PCG64 steps its 128-bit state, then outputs the rotated XOR
+    of its two halves, so a state with equal halves outputs 0, and Generator.random
+    reads 0 as 0.0; such a state is stepped back k + 1 times."""
+    bits = rng.bit_generator.state
+    pcg = bits["state"]
+    low = pcg["state"] & (2**64 - 1)
+    state = low << 64 | low
+    for _ in range(k + 1):
+        state = (state - pcg["inc"]) * _PCG_MULT_INV % 2**128
+    pcg["state"] = state
+    rng.bit_generator.state = bits
+    return rng
+
+
+class _Like:
+    """Acts like the Generator ``rng`` without being one."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
 
     def random(self, size=None, out=None):
-        u = self.rng.random(1 if size is None and out is None else size, out=out)
-        if self.drawn <= self.k < self.drawn + u.size:
-            u.flat[self.k - self.drawn] = 0.0
-        self.drawn += u.size
-        return float(u[0]) if size is None and out is None else u
+        return self.rng.random(size, out=out)
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +355,48 @@ def test_kernel_draw_equal_to_an_iterate_counts_as_not_above(kernel):
     kernel.advance(lanes, 1, x.ctypes.data, table.ctypes.data, 1, alpha, 1.0 / (1.0 - alpha),
                    state.ctypes.data, lanes)
     assert state.T.tolist() == [list(row) for row in want]
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["fresh", "after-cold-start"])
+@pytest.mark.parametrize("span", [1, ex._KERNEL_STEPS])
+@pytest.mark.parametrize("lanes", [1, 2, 3, 5, 31, 32, 33])
+def test_kernel_draw_equals_numpy_random(kernel, lanes, span, cold):
+    # numpy promises PCG64's bit stream, not Generator.random's across
+    # versions: this pins the kernel's port to the numpy it runs with.  Three
+    # calls carry each lane's state over; a cold start has drawn one value
+    # through numpy before the kernel reads the state.
+    rngs = [substream(31, lanes, r) for r in range(lanes)]
+    if cold:
+        ex._draws(sr.Uniform(0, 1), rngs, np.empty((lanes, 1)), 0, -1)
+    words = ex._pcg64_words(rngs)
+    for _ in range(3):
+        u = np.empty((lanes, span))
+        kernel.draw(lanes, span, words.ctypes.data, u.ctypes.data)
+        want = np.stack([rng.random(span) for rng in rngs])
+        assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
+
+
+def test_advance_gives_the_same_bits_at_either_width(tmp_path):
+    # Odd lane counts leave every remainder of a group of two vectors at
+    # either width.  Each count runs a chunk of random draws and a step whose
+    # draws tie theta (even lanes) or theta_bar (odd lanes).
+    host, narrow = (build_at_width(ex._KERNEL, tmp_path, width) for width in WIDTHS)
+    rng = np.random.default_rng(20261019)
+    n0, alpha = 3, 0.9
+    for lanes in [*range(1, 18, 2), 33]:
+        start = np.vstack([rng.exponential(size=(2, lanes)), rng.exponential(2.0, size=(3, lanes))])
+        ties = np.where(np.arange(lanes) % 2 == 0, start[0], start[1])[:, None]
+        for x in (rng.exponential(size=(lanes, 257)), ties):
+            span = x.shape[1]
+            table = np.empty((4, span))
+            host.step_table(span, n0, FAST.a1, FAST.a_exp, FAST.b1, FAST.b_exp, table.ctypes.data, span)
+            states = []
+            for library in (host, narrow):
+                state = start.copy()
+                library.advance(lanes, span, x.ctypes.data, table.ctypes.data, span, alpha,
+                                1.0 / (1.0 - alpha), state.ctypes.data, lanes)
+                states.append(state.view(np.uint64))
+            assert np.array_equal(*states), (lanes, span)
 
 
 def test_chunk_memory_stays_within_budget(kernel):
@@ -371,12 +452,11 @@ def test_step_table_that_differs_from_the_schedule_aborts(kernel):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("source", sorted(Path(ex.__file__).parent.glob("*.c")), ids=lambda p: p.name)
-def test_c_source_compiles_without_warnings(tmp_path, source):
+def test_c_source_compiles_without_warnings(tmp_path, source, width):
     # The command the build runs, with every warning an error.
-    command = [*_native.compile_command(source.stem, str(tmp_path / "k.so")), "-Wall", "-Wextra", "-Werror"]
-    if shutil.which(command[0]) is None:
-        pytest.skip(f"no C compiler {command[0]!r} here")
+    command = [*width_command(source.stem, str(tmp_path / "k.so"), width), "-Wall", "-Wextra", "-Werror"]
     # The sources' vectors must map to the target's registers: gcc lowers a
     # wider vector piecewise, much more slowly than the scalar code.
     macros = subprocess.run([command[0], "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True,

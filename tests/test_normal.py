@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from conftest import WIDTHS, build_at_width
 from streamrisk import _native, distributions
 from streamrisk.distributions import Gaussian, _ndtr, _ndtri
 
@@ -192,3 +193,22 @@ def test_block_transform_runs_of_one_kind(kind, n):
         u = {"lower": tails, "upper": 1.0 - tails, "both-tails": np.where(rng.random(n) < 0.5, tails, 1.0 - tails),
              "all-special": rng.choice(_SPECIAL, n)}[kind]
     _pin_block_transform(u)
+
+
+def test_transform_gives_the_same_bits_at_either_width(tmp_path):
+    # The edge sets above (0, 1, NaN, 2**-54, both sides of exp(-2) and
+    # exp(-32), the far tails) at every position modulo either vector width,
+    # and every far_tail value among central and tail draws.
+    libraries = [build_at_width(distributions._NORMAL, tmp_path, width) for width in WIDTHS]
+    edges = _ndtri_inputs(20_000)
+    specials = np.random.default_rng(8).random(2 * _BLOCK + 1)
+    specials[::7] = np.resize(_SPECIAL, specials[::7].size)
+    for u in [edges[shift:] for shift in range(4)] + [specials]:
+        u = np.ascontiguousarray(u)
+        results = []
+        for library in libraries:
+            x = np.empty_like(u)
+            library.normal_quantile(u.size, u.ctypes.data, 0.5, 2.0, x.ctypes.data)
+            results.append(x)
+        _same(results[0], 0.5 + 2.0 * ndtri(u))
+        assert np.array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
