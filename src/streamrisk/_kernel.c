@@ -14,15 +14,13 @@
  * joint recursion (a chunk ends at each checkpoint, where the caller records
  * the state), W lanes per vector and two independent vectors per step, their
  * state in registers; a last group of fewer lanes repeats its last lane in
- * the spare slots, which are not written back.  W is 4 where the compiler
- * targets AVX2 and 2 (one SSE2 register) elsewhere.  The vectors are GCC
- * vector extensions, whose operations are IEEE per element, and the
- * indicators are comparison masks ANDed with the bits of 1.0, so a lane takes
- * no branch on its data and rounds exactly as the scalar code would, at
- * either width.  Operation for operation this is estimators.step, so the file
- * must be compiled without floating-point contraction (-ffp-contract=off) and
- * without any flag that lets the compiler replace pow (-ffast-math, vector
- * math libraries).
+ * the spare slots, which are not written back.  W and the vectors are
+ * _simd.h's, and the indicators are comparison masks ANDed with the bits of
+ * 1.0, so a lane takes no branch on its data and rounds exactly as the
+ * scalar code would, at either width.  Operation for operation this is
+ * estimators.step, so the file must be compiled without floating-point
+ * contraction (-ffp-contract=off) and without any flag that lets the
+ * compiler replace pow (-ffast-math, vector math libraries).
  *
  * gen[4 * l + 0..3]    lane l's PCG64 state, low word first, then its
  *                      increment; read and written back
@@ -33,7 +31,7 @@
  * state[k * ld + l]    estimator k of lane l, in the order theta, theta_bar,
  *                      embedded, classical, bardou; read and written back
  */
-#include <stdint.h>
+#include "_simd.h"
 
 /* libm's pow, declared here rather than through <math.h>, whose parsing is
  * about a tenth of the compile (C11 7.1.4 allows the declaration). */
@@ -93,25 +91,6 @@ void step_table(int64_t span, int64_t n0, double a1, double a_exp, double b1, do
         table[2 * ldt + t] = (double)n / (double)(n + 1);
         table[3 * ldt + t] = 1.0 / (double)(n + 1);
     }
-}
-
-/* One register per vector: without AVX2, gcc lowers a 32-byte vector
- * piecewise, and it runs slower than scalar code. */
-#ifdef __AVX2__
-#define W 4
-#else
-#define W 2
-#endif
-typedef double vd __attribute__((vector_size(8 * W)));
-typedef int64_t vi __attribute__((vector_size(8 * W)));
-
-static inline vd splat(double a)
-{
-    vd v;
-#pragma GCC unroll 4
-    for (int j = 0; j < W; j++)
-        v[j] = a;
-    return v;
 }
 
 /* 1.0 where the comparison mask is set, else +0.0: as (double)(a > b), without a branch. */

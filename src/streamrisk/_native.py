@@ -5,12 +5,13 @@ interpreter's C compiler, on the first :func:`load` of a process and never at
 import, into a private directory: no cache to invalidate or share.  The loaded
 library stays mapped after the directory is removed.  It is built for the
 host's own instruction set (``-march=native``), so a library is never moved
-to another machine, and the sources pick their vector width from the
-compiler's ISA macros.  The flags keep floating-point contraction off, and no
-flag lets the compiler replace a libm call (libm itself is the process's, as
-for the Python reference), so the compiled arithmetic rounds as the Python
-reference it mirrors does.  The sources' vector-extension arithmetic is IEEE
-per element, so it gives the same bits at any width these flags select.
+to another machine, and the sources' shared ``_simd.h``, which a build also
+reads (a cache key must hash it), picks the vector width from the ISA macros.
+The flags keep floating-point contraction off, and no flag lets the compiler
+replace a libm call (libm itself is the process's, as for the Python
+reference), so the compiled arithmetic rounds as the Python reference it
+mirrors does.  The sources' vector-extension arithmetic is IEEE per element,
+so it gives the same bits at any width these flags select.
 
 A library that cannot be built is reported by one ``RuntimeWarning`` per
 process and read as None, and its caller runs its scalar Python reference

@@ -10,19 +10,19 @@
  *
  * ndtri(0) = -inf, ndtri(1) = inf, and u outside [0, 1] or NaN gives NaN.
  * The draws go in blocks of BLOCK, with no branch on a draw's value: every draw
- * takes the central approximation, W per vector (GCC vector extensions: IEEE
- * operations per element, which round as the scalar ones), and that pass's
- * comparison masks append the tail draws to a compacted list; the tails are
- * then redone, their log and sqrt in a scalar loop (libm's, as the scalar
- * routine calls them), their P1/Q1 polynomials W per vector.  W is 4 where the
- * compiler targets AVX2 and 2 (one SSE2 register) elsewhere; the results are
- * the same bits at either width.  The scalar far_tail redoes the few draws
- * those passes leave over: 0, 1, NaN, values outside [0, 1], and y <= exp(-32).
- * The tests pin every path to distributions._ndtri and to Cephes' own ndtri.
- * The vector polynomial loops are unrolled: at -O2 gcc keeps them as loops,
- * which costs about 3-4 ns of the 14-19 ns a 2-wide draw takes.
+ * takes the central approximation, W per vector (_simd.h's vectors, whose
+ * operations round as the scalar ones), and that pass's comparison masks
+ * append the tail draws to a compacted list.  The tails are then redone,
+ * their log and sqrt in a scalar loop (libm's, as the scalar routine calls
+ * them), the rest W per vector: each lane takes the P1/Q1 or the P2/Q2
+ * polynomials on a comparison mask, and masks give 0, 1, NaN and values
+ * outside [0, 1] their results.  So every tail draw takes one path, and the
+ * results are the same bits at either width.  The tests pin both passes to
+ * distributions._ndtri and to Cephes' own ndtri.  The vector polynomial
+ * loops are unrolled: at -O2 gcc keeps them as loops, which costs about 3-4
+ * ns of the 14-19 ns a 2-wide draw takes.
  */
-#include <stdint.h>
+#include "_simd.h"
 
 /* libm's log and sqrt, declared here rather than through <math.h>, whose
  * parsing is about a tenth of the compile (C11 7.1.4 allows the declarations). */
@@ -68,84 +68,30 @@ static const double Q2[8] = {
     2.89247864745380683936E-6, 6.79019408009981274425E-9,
 };
 
-/* c[0] x^n + ... + c[n] */
-static double polevl(double x, const double *c, int n)
+/* Lane j of a where the mask m is set, else of b. */
+static inline vd pick(vi m, vd a, vd b)
 {
-    double ans = c[0];
-    for (int i = 1; i <= n; i++)
-        ans = ans * x + c[i];
-    return ans;
+    return (vd)((m & (vi)a) | (~m & (vi)b));
 }
 
-/* x^n + c[0] x^(n-1) + ... + c[n-1] */
-static double p1evl(double x, const double *c, int n)
+/* Cephes' polevl, c[0] x^n + ... + c[n], and p1evl, x^n + c[0] x^(n-1) + ...
+ * + c[n-1], of W arguments at once, each lane's c being a where m is set and
+ * b elsewhere. */
+static inline vd polevlv(vd x, vi m, const double *a, const double *b, int n)
 {
-    double ans = x + c[0];
-    for (int i = 1; i < n; i++)
-        ans = ans * x + c[i];
-    return ans;
-}
-
-/* ndtri of the draws the vector passes leave over: 0, 1, NaN, values outside
- * [0, 1], and the far tails, y <= exp(-32), which take the P2/Q2 approximation. */
-static double far_tail(double y0)
-{
-    if (y0 == 0.0)
-        return -INFINITY;
-    if (y0 == 1.0)
-        return INFINITY;
-    if (!(y0 > 0.0 && y0 < 1.0))
-        return NAN;
-    int negate = 1;
-    double y = y0;
-    if (y > 1.0 - EXP_M2) {
-        y = 1.0 - y;
-        negate = 0;
-    }
-    double x = sqrt(-2.0 * log(y));
-    double x0 = x - log(x) / x;
-    double z = 1.0 / x;
-    double x1 = z * polevl(z, P2, 8) / p1evl(z, Q2, 8);
-    x = x0 - x1;
-    return negate ? -x : x;
-}
-
-/* One register per vector: without AVX2, gcc lowers a 32-byte vector
- * piecewise, and it runs slower than scalar code. */
-#ifdef __AVX2__
-#define W 4
-#else
-#define W 2
-#endif
-typedef double vd __attribute__((vector_size(8 * W)));
-typedef int64_t vi __attribute__((vector_size(8 * W)));
-
-/* Every element a (as (vd){} + a would not be for a = -0.0). */
-static inline vd splat(double a)
-{
-    vd v;
-#pragma GCC unroll 4
-    for (int j = 0; j < W; j++)
-        v[j] = a;
-    return v;
-}
-
-/* polevl and p1evl of W arguments at once. */
-static inline vd polevlv(vd x, const double *c, int n)
-{
-    vd ans = splat(c[0]);
+    vd ans = pick(m, splat(a[0]), splat(b[0]));
 #pragma GCC unroll 16
     for (int i = 1; i <= n; i++)
-        ans = ans * x + splat(c[i]);
+        ans = ans * x + pick(m, splat(a[i]), splat(b[i]));
     return ans;
 }
 
-static inline vd p1evlv(vd x, const double *c, int n)
+static inline vd p1evlv(vd x, vi m, const double *a, const double *b, int n)
 {
-    vd ans = x + splat(c[0]);
+    vd ans = x + pick(m, splat(a[0]), splat(b[0]));
 #pragma GCC unroll 16
     for (int i = 1; i < n; i++)
-        ans = ans * x + splat(c[i]);
+        ans = ans * x + pick(m, splat(a[i]), splat(b[i]));
     return ans;
 }
 
@@ -154,18 +100,24 @@ static inline vd central(vd y0)
 {
     vd y = y0 - 0.5;
     vd y2 = y * y;
-    vd x = y + y * (y2 * polevlv(y2, P0, 4) / p1evlv(y2, Q0, 8));
+    vd x = y + y * (y2 * polevlv(y2, (vi){}, P0, P0, 4) / p1evlv(y2, (vi){}, Q0, Q0, 8));
     return x * S2PI;
 }
 
-/* ndtri's tail approximation from x = sqrt(-2 log y) in [2, 8) and lx =
- * log(x), negated where neg is -0.0 (its sign bit flips the result's). */
-static inline vd tail(vd x, vd lx, vd neg)
+/* ndtri(y0) from x = sqrt(-2 log y) and lx = log(x), y being 1 - y0 above
+ * 1 - exp(-2) and y0 elsewhere: P1/Q1 where x < 8, P2/Q2 elsewhere, negated
+ * (by the sign bit) where y0 is not above 1 - exp(-2).  x is inf only where
+ * y0 is 0 (or -0) or 1, whose results are -inf and inf, and NaN only where y0
+ * is NaN or outside [0, 1], whose result is NaN. */
+static inline vd tail(vd y0, vd x, vd lx)
 {
+    vi near = (vi)(x < 8.0);
     vd x0 = x - lx / x;
     vd z = 1.0 / x;
-    vd x1 = z * polevlv(z, P1, 8) / p1evlv(z, Q1, 8);
-    return (vd)((vi)(x0 - x1) ^ (vi)neg);
+    vd x1 = z * polevlv(z, near, P1, P2, 8) / p1evlv(z, near, Q1, Q2, 8);
+    vd r = pick((vi)(x == INFINITY), splat(INFINITY), x0 - x1);
+    r = (vd)((vi)r ^ (~(vi)(y0 > 1.0 - EXP_M2) & (vi)splat(-0.0)));
+    return pick((vi)(x == x), r, splat(NAN));
 }
 
 /* Elements 0..W-1 of p, or of p[0..count) with its last element repeated. */
@@ -184,10 +136,10 @@ static inline vd load(const double *p, int count)
 static void block(int m, const double *u, double mean, double sd, double *x)
 {
     /* Tail draw k is u[idx[k]] = y0[k]; y[k] is what ndtri takes the log of,
-     * neg[k] its sign, tx[k] and lx[k] its x and log(x).  The spare last
-     * slots pad the tails to whole vectors. */
-    double y0[BLOCK + W], y[BLOCK + W], neg[BLOCK + W], tx[BLOCK + W], lx[BLOCK + W];
-    int idx[BLOCK], redo[BLOCK];
+     * tx[k] and lx[k] its x and log(x).  The spare last slots pad the tails
+     * to whole vectors. */
+    double y0[BLOCK + W], y[BLOCK + W], tx[BLOCK + W], lx[BLOCK + W];
+    int idx[BLOCK];
     /* Every draw takes the central approximation; those outside (exp(-2),
      * 1 - exp(-2)] are appended to the tails on the pass's comparison mask. */
     int nt = 0;
@@ -205,42 +157,29 @@ static void block(int m, const double *u, double mean, double sd, double *x)
         }
     }
 
-    /* Above 1 - exp(-2), y = 1 - y0 and the result keeps its sign; below, y =
-     * y0 and the result is negated.  Both are selected on the comparison mask. */
+    /* Above 1 - exp(-2), y = 1 - y0; below, y = y0, on the comparison mask. */
     for (int j = 0; j < W; j++)
         y0[nt + j] = 0.5;
     for (int k = 0; k < nt; k += W) {
         vd v = load(y0 + k, W);
-        vi upper = (vi)(v > 1.0 - EXP_M2);
-        vd w = (vd)((upper & (vi)(1.0 - v)) | (~upper & (vi)v));
-        vd s = (vd)(~upper & (vi)splat(-0.0));
+        vd w = pick((vi)(v > 1.0 - EXP_M2), 1.0 - v, v);
 #pragma GCC unroll 4
-        for (int j = 0; j < W; j++) {
+        for (int j = 0; j < W; j++)
             y[k + j] = w[j];
-            neg[k + j] = s[j];
-        }
     }
-    /* x >= 8 takes ndtri's P2/Q2 approximation; 0, 1, NaN and values outside
-     * [0, 1] make x infinite or NaN.  far_tail redoes all of them. */
-    int nr = 0;
     for (int k = 0; k < nt; k++) {
-        double t = sqrt(-2.0 * log(y[k]));
-        tx[k] = t;
-        lx[k] = log(t);
-        redo[nr] = k;
-        nr += !(t < 8.0);
+        tx[k] = sqrt(-2.0 * log(y[k]));
+        lx[k] = log(tx[k]);
     }
     for (int j = 0; j < W; j++)
         tx[nt + j] = lx[nt + j] = 1.0;
     for (int k = 0; k < nt; k += W) {
-        vd r = mean + sd * tail(load(tx + k, W), load(lx + k, W), load(neg + k, W));
+        vd r = mean + sd * tail(load(y0 + k, W), load(tx + k, W), load(lx + k, W));
 #pragma GCC unroll 4
         for (int j = 0; j < W; j++)
             if (k + j < nt)
                 x[idx[k + j]] = r[j];
     }
-    for (int j = 0; j < nr; j++)
-        x[idx[redo[j]]] = mean + sd * far_tail(y0[redo[j]]);
 }
 
 void normal_quantile(int64_t n, const double *u, double mean, double sd, double *x)

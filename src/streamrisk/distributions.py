@@ -7,9 +7,9 @@ superquantile, density at the quantile, and the tail variance
     v_alpha = E[X^2 1{X > theta}] - (E[X 1{X > theta}])^2,
 
 while :func:`numeric_oracle` recomputes the same structure by bisection on the
-cdf and adaptive Gauss-Legendre quadrature of x*f(x) and x^2*f(x) only, so the
-two routes stay independent cross-checks of each other.  numpy is the only
-library either route uses.
+cdf and adaptive Gauss-Legendre quadrature of (x - theta) f(x) and
+(x - theta)^2 f(x) only, so the two routes stay independent cross-checks of
+each other.  numpy is the only library either route uses.
 
 The Gaussian cdf and inverse cdf are Cephes' ``ndtr`` and ``ndtri``, ported
 operation for operation so that every value equals Cephes' own bit for bit:
@@ -23,9 +23,11 @@ about 2 us a draw instead of 15 ns.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -231,7 +233,12 @@ class Pareto:
     def pdf(self, x: float) -> float:
         if x < self.scale:
             return 0.0
-        return self.shape * self.scale**self.shape * x ** (-self.shape - 1.0)
+        with contextlib.suppress(OverflowError):  # float ** raises where it overflows
+            a, b = self.scale**self.shape, x ** (-self.shape - 1.0)
+            if min(a, b) >= sys.float_info.min:
+                return self.shape * a * b
+        # A factor out of normal range (x^(-shape-1) far out) lost bits or overflowed.
+        return (self.shape / self.scale) * (self.scale / x) ** (self.shape + 1.0)
 
     def cdf(self, x: float) -> float:
         if x <= self.scale:
@@ -345,13 +352,18 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     lo, hi = model._quantile_bracket(alpha)
     theta = _bisect_quantile(model, alpha, lo, hi)
-    e1 = _tail_integral(model, theta, power=1)
-    e2 = _tail_integral(model, theta, power=2)
+    # Moments about theta, d_k = E[(X - theta)^k 1{X > theta}], keep e2 - e1^2
+    # from cancelling on narrow models far from 0: with F = cdf(theta) (alpha
+    # but for theta's rounding, which v_alpha can feel), e1 = d1 + theta (1 - F)
+    # and e2 - e1^2 = d2 - d1^2 + F theta (2 d1 + theta (1 - F)).
+    below = model.cdf(theta)
+    d1 = _tail_integral(model, theta, power=1)
+    d2 = _tail_integral(model, theta, power=2)
     quantities = dict(
         theta_alpha=theta,
-        vartheta_alpha=e1 / (1.0 - alpha),
+        vartheta_alpha=theta + d1 / (1.0 - alpha),
         density_at_quantile=_fd_density(model, theta, hi - lo),
-        v_alpha=e2 - e1 * e1,
+        v_alpha=d2 - d1 * d1 + below * theta * (2.0 * d1 + theta * (1.0 - below)),
     )
     for name, value in quantities.items():
         if not math.isfinite(value):
@@ -382,7 +394,7 @@ def _bisect_quantile(model: DistributionModel, alpha: float, lo: float, hi: floa
 
 
 def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
-    """Integral of x^power f(x) over [lo, support top) by the 20-point
+    """Integral of (x - lo)^power f(x) over [lo, support top) by the 20-point
     Gauss-Legendre rule on pieces between decade waypoints up to the top or,
     where there is none, T = quantile(1 - _TAIL_EPS) and _TAIL_DECADES decades
     past it, plus the rest of a geometric series with the last two decades'
@@ -396,7 +408,8 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
         half, mid, total = 0.5 * (b - a), 0.5 * (a + b), 0.0
         for t, w in zip(nodes, weights):
             x = mid + half * t
-            total += w * model.pdf(x) * x * (x if power == 2 else 1.0)  # x**2 alone can overflow
+            d = x - lo
+            total += w * model.pdf(x) * d * (d if power == 2 else 1.0)  # d**2 alone can overflow
         return half * total
 
     def piece(a: float, b: float, whole: float, index: int) -> tuple:
@@ -436,11 +449,11 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
         with np.errstate(all="ignore"):
             r_prev, r = np.divide(values[-2:], values[-3:-1]).tolist()
         if not (0.0 <= r_prev < 1.0 and 0.0 <= r < 1.0):
-            raise QuadratureError(f"x^{power} f(x) has decade ratios {r_prev:.6e}, {r:.6e} past {split}")
+            raise QuadratureError(f"(x - {lo})^{power} f(x) has decade ratios {r_prev:.6e}, {r:.6e} past {split}")
         rest_prev, rest = (values[-1] * q / (1.0 - q) for q in (r_prev, r))
         value, err = value + rest, err + abs(rest - rest_prev)
     if err > 1e-9 * max(abs(value), 1.0):
-        raise QuadratureError(f"tail integral of x^{power} f(x) from {lo} reached abs error {err:.3e} "
+        raise QuadratureError(f"tail integral of (x - {lo})^{power} f(x) reached abs error {err:.3e} "
                               f"for value {value:.6e} (target 1e-9 relative)")
     return value
 

@@ -65,10 +65,6 @@ class ValidationReport:
     fast_clt_b1_ok: bool | None
     failures: tuple[str, ...]
 
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures
-
 
 def validate(schedule: StepSchedule) -> ValidationReport:
     """Report (never raise) which theorem hypotheses ``schedule`` satisfies."""

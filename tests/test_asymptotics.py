@@ -18,6 +18,7 @@ from streamrisk.asymptotics import (
     embedded_remainder_exponent,
     finite_n_mse,
     mse_bound_averaged_quantile,
+    mse_bound_competitor,
     mse_bound_embedded,
     quantile_clt_variance,
     sigma_from_generator,
@@ -133,6 +134,21 @@ class TestAveragedQuantileBound:
         assert embedded_remainder_exponent(
             StepSchedule(1.0, 2 / 3, 1.0, 1.0)
         ) == pytest.approx(4 / 3, rel=1e-15)
+
+
+class TestCompetitorBound:
+    @pytest.mark.parametrize(
+        "sched", [StepSchedule(1.0, 0.6, 0.8, 0.75), StepSchedule(1.0, 2 / 3, 1.5, 1.0)], ids=["slow", "fast"]
+    )
+    def test_is_gamma_vartheta_times_n_to_the_minus_b(self, sched):
+        o = oracle(Exponential(1.0), 0.9)
+        gamma = variance_comparison(o, sched.b1, sched.b_exp).gamma_vartheta
+        for n in (1, 2, 10, 12345, 10**6):
+            assert mse_bound_competitor(o, sched, n) == gamma * float(n) ** (-sched.b_exp)
+
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            mse_bound_competitor(UNIFORM_ORACLE, StepSchedule(1.0, 0.6, 1.0, 0.75), 0)
 
 
 class TestVarianceComparison:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from streamrisk import cli, experiments
+from streamrisk import cli, distributions, experiments
 from streamrisk.cli import main
 from streamrisk.experiments import _KERNEL_LANES
 from streamrisk.tables import fmt_value, read_csv, render_csv
@@ -433,9 +433,9 @@ def test_unknown_command_exits_2():
         # mean -/+ stddev rounds to the mean, so widening the bisection bracket hung.
         ("gaussian:-1,1e-300", "0.5", "stddev 1e-300 is below the float spacing at mean -1.0"),
         ("gaussian:0.5,1e-100", "1e-16", "stddev 1e-100 is below the float spacing at mean 0.5"),
-        # The tail integrals read NaN, which printed with exit 0.
+        # A tail integral that is not finite once printed with exit 0.
         ("gaussian:0,5e-324", "5e-324", "vartheta_alpha of Gaussian(mean=0.0, stddev=5e-324) at alpha = 5e-324 "
-         "is nan by quadrature"),
+         "is inf by quadrature"),
     ],
 )
 def test_quadrature_oracle_out_of_float_range_exits_3(capsys, dist, alpha, message):
@@ -443,13 +443,12 @@ def test_quadrature_oracle_out_of_float_range_exits_3(capsys, dist, alpha, messa
     assert capsys.readouterr().err == f"runtime error: {message}\n"
 
 
-def test_quadrature_too_coarse_for_the_model_exits_3(capsys):
-    # The closed form accepts this narrow Gaussian far from 0, but the
-    # quadrature's superquantile lands below its quantile: RiskOracle's
-    # invariant fails inside numeric_oracle, which is a quadrature failure,
-    # not a usage error.
-    dist, alpha = "gaussian:-523581.07343374286,0.00015423031483910525", "0.3457830769015436"
-    assert main(["oracle", "--dist", dist, "--alpha", alpha]) == 3
+def test_quadrature_too_coarse_for_the_model_exits_3(capsys, monkeypatch):
+    # Quadrature quantities that break RiskOracle's invariants (here a negative
+    # first tail moment puts the superquantile below the quantile) are a
+    # quadrature failure inside numeric_oracle, not a usage error.
+    monkeypatch.setattr(distributions, "_tail_integral", lambda model, lo, power: -1.0 if power == 1 else 1.0)
+    assert main(["oracle", "--dist", "gaussian:0,1", "--alpha", "0.9"]) == 3
     assert capsys.readouterr().err.startswith("runtime error: superquantile must dominate the quantile: ")
 
 

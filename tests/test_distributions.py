@@ -72,26 +72,45 @@ class TestClosedFormOracle:
             Pareto(1.0, 2.0)
 
 
+def _assert_oracles_agree(model, alpha):
+    closed = oracle(model, alpha)
+    numeric = numeric_oracle(model, alpha)
+    for field in ("theta_alpha", "vartheta_alpha", "density_at_quantile", "v_alpha"):
+        assert _rel(getattr(closed, field), getattr(numeric, field)) < 1e-8, field
+
+
 class TestNumericOracleAgreement:
     def test_uniform_linear_cdf(self):
         o = numeric_oracle(Uniform(0.0, 1.0), 0.25)
         assert abs(o.theta_alpha - 0.25) < 1e-12
 
     # Pareto shapes just above 2, where x^2 f(x) decays slowest; models whose
-    # spread is far from max(1, |theta|); and quantiles 1e-4 below Uniform's top.
+    # spread is far from max(1, |theta|); Pareto tails whose x^(-shape-1) turns
+    # subnormal; and quantiles 1e-4 below Uniform's top.
     @pytest.mark.parametrize(
         "model",
         ALL_MODELS
         + [Pareto(1.0, k) for k in (2.01, 2.05, 2.1)]
-        + [Gaussian(1e6, 10.0), Gaussian(-50.0, 0.1), Exponential(1e6)],
+        + [Gaussian(1e6, 10.0), Gaussian(-50.0, 0.1), Exponential(1e6)]
+        + [Pareto(1e100, 2.2), Pareto(1e100, 2.01)],
         ids=str,
     )
     @pytest.mark.parametrize("alpha", ALPHA_GRID + (0.9999,))
     def test_componentwise_agreement(self, model, alpha):
-        closed = oracle(model, alpha)
-        numeric = numeric_oracle(model, alpha)
-        for field in ("theta_alpha", "vartheta_alpha", "density_at_quantile", "v_alpha"):
-            assert _rel(getattr(closed, field), getattr(numeric, field)) < 1e-8, field
+        _assert_oracles_agree(model, alpha)
+
+    # Narrow Gaussians far from 0, where moments about 0 cancel: at the small
+    # alpha, v_alpha = e2 - e1^2 is about 4e-6 of e2.
+    @pytest.mark.parametrize(
+        "model, alpha",
+        [
+            (Gaussian(-35232.2, 4e-4), 3.78e-6),
+            (Gaussian(-523581.07343374286, 0.00015423031483910525), 0.3457830769015436),
+        ],
+        ids=str,
+    )
+    def test_componentwise_agreement_narrow_model_far_from_zero(self, model, alpha):
+        _assert_oracles_agree(model, alpha)
 
     def test_uniform_v_alpha_exact_integrals(self):
         # int_{1/2}^1 x^2 dx - (int_{1/2}^1 x dx)^2 = 7/24 - 9/64

@@ -467,6 +467,18 @@ def test_c_source_compiles_without_warnings(tmp_path, source, width):
     assert done.returncode == 0, done.stderr
 
 
+def test_package_data_lists_every_c_source_and_header():
+    # An installed package builds its libraries from the files it ships, so
+    # every source and header the builds read must be package data.
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(_native.__file__).parent
+    pyproject = tomllib.loads((package.parent.parent / "pyproject.toml").read_text())
+    listed = set(pyproject["tool"]["setuptools"]["package-data"]["streamrisk"])
+    native = {p.name for pattern in ("*.c", "*.h") for p in package.glob(pattern)}
+    assert native >= {"_kernel.c", "_normal.c", "_simd.h"}
+    assert native <= listed
+
+
 _C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
 
 

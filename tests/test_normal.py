@@ -6,7 +6,7 @@ Every value must equal scipy's, NaN for NaN: the scalar ``_ndtr`` and
 built).  The inputs sit on each branch switch of the routines and in both
 tails down to the smallest subnormal.  The compiled transform,
 which works in blocks, is also pinned at lengths around its block size, with
-the draws its vector passes leave to its scalar routine at any position.
+the draws whose results its tail pass sets by mask at any position.
 """
 
 import math
@@ -150,11 +150,12 @@ def test_library_built_once_across_threads(monkeypatch):
 
 
 # The compiled transform works in blocks of _BLOCK draws: central pass on every
-# draw, then the compacted tails, then the scalar far_tail on the few left over.
+# draw, then one vector pass over the compacted tails.
 _BLOCK = int(re.search(r"#define BLOCK (\d+)", Path(distributions.__file__).with_name("_normal.c").read_text())[1])
 _E2 = distributions._EXP_M2
-# Each left to far_tail: 0, 1, NaN, out of [0, 1], subnormal, and
-# y <= exp(-32) in either tail (x = sqrt(-2 log y) >= 8).
+# Each set by a mask of the tail pass: 0, 1, NaN and out of [0, 1]; or in its
+# P2/Q2 lanes: subnormal, and y <= exp(-32) in either tail (x = sqrt(-2 log y)
+# >= 8).
 _SPECIAL = [0.0, 1.0, math.nan, -0.1, 1.1, -0.0, 5e-324, 2.0**-1030, 1e-20, math.exp(-32.0), 1.0 - 1e-15]
 
 
@@ -195,10 +196,23 @@ def test_block_transform_runs_of_one_kind(kind, n):
     _pin_block_transform(u)
 
 
+def test_nan_draws_take_the_scalar_references_nan_bits():
+    # NaN payloads and signs as well as values: the tail pass's mask sets every
+    # NaN result to the one NaN the scalar reference returns, whatever NaN the
+    # arithmetic made.
+    payloads = np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF8DEAD00000000, 0xFFF8000000000000], np.uint64)
+    bad = [math.nan, -0.1, 1.1, math.inf, -math.inf, -5e-324, 1.0 + 2.0**-52, *payloads.view(np.float64)]
+    u = np.random.default_rng(9).random(2 * _BLOCK + 1)
+    u[::5] = np.resize(bad, u[::5].size)
+    x = Gaussian(0.5, 2.0).quantile(u)
+    want = np.array([0.5 + 2.0 * _ndtri(float(y)) for y in u])
+    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+
+
 def test_transform_gives_the_same_bits_at_either_width(tmp_path):
     # The edge sets above (0, 1, NaN, 2**-54, both sides of exp(-2) and
     # exp(-32), the far tails) at every position modulo either vector width,
-    # and every far_tail value among central and tail draws.
+    # and every _SPECIAL value among central and tail draws.
     libraries = [build_at_width(distributions._NORMAL, tmp_path, width) for width in WIDTHS]
     edges = _ndtri_inputs(20_000)
     specials = np.random.default_rng(8).random(2 * _BLOCK + 1)

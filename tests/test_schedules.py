@@ -62,7 +62,7 @@ def test_validate_fast_regime_all_ok():
     assert rep.chain_ok
     assert rep.fast_rate_b1_ok is True
     assert rep.fast_clt_b1_ok is True
-    assert rep.all_ok
+    assert not rep.failures
 
 
 def test_validate_chain_fail_low_a():
