@@ -11,7 +11,10 @@ The flags keep floating-point contraction off, and no flag lets the compiler
 replace a libm call (libm itself is the process's, as for the Python
 reference), so the compiled arithmetic rounds as the Python reference it
 mirrors does.  The sources' vector-extension arithmetic is IEEE per element,
-so it gives the same bits at any width these flags select.
+so it gives the same bits at any width these flags select.  A call from one of
+a library's functions to another binds to that function
+(``-fno-semantic-interposition``), not to a libc function of the same name:
+glibc exports ``advance`` too.
 
 A library that cannot be built is reported by one ``RuntimeWarning`` per
 process and read as None, and its caller runs its scalar Python reference
@@ -22,10 +25,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 import threading
 import warnings
 from pathlib import Path
@@ -50,12 +49,21 @@ def load(stem: str, fallback: str, **signatures) -> ctypes.CDLL | None:
 
 def compile_command(stem: str, output: str) -> list[str]:
     """The compiler command that builds ``<stem>.c`` into ``output``."""
+    import shlex
+    import sysconfig
+
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     source = Path(__file__).with_name(f"{stem}.c")
-    return [*cc, "-O2", "-march=native", "-ffp-contract=off", "-fPIC", "-shared", "-o", output, str(source), "-lm"]
+    return [*cc, "-O2", "-march=native", "-ffp-contract=off", "-fPIC", "-fno-semantic-interposition",
+            "-shared", "-o", output, str(source), "-lm"]
 
 
 def _build(stem: str, fallback: str, signatures: dict) -> ctypes.CDLL | None:
+    # Imported here and in compile_command, so that a process that builds nothing
+    # does not import them.
+    import subprocess
+    import tempfile
+
     try:
         with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
             output = os.path.join(tmp, f"{stem}.so")

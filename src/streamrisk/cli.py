@@ -93,9 +93,7 @@ def main(argv=None) -> int:
 
 def _load_config(args) -> ExperimentConfig:
     cfg = load_experiment_config(args.config)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+    if args.seed is not None:  # ExperimentConfig checks its range (exit 2)
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     return cfg
 

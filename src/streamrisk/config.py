@@ -8,6 +8,7 @@ nesting.  Distributions are written either keyword-style
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Mapping
 
@@ -20,51 +21,44 @@ class ConfigError(ValueError):
     """Malformed config file, flag value, or distribution spec."""
 
 
-_DIST_FIELDS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "gaussian": (Gaussian, ("mean", "stddev")),
-    "exponential": (Exponential, ("rate",)),
-    "uniform": (Uniform, ("lo", "hi")),
-    "pareto": (Pareto, ("scale", "shape")),
-}
+# Each kind's model; its parameters are the model's dataclass fields, in order.
+_DIST_FIELDS: dict[str, type] = {"gaussian": Gaussian, "exponential": Exponential, "uniform": Uniform, "pareto": Pareto}
 
 
 def parse_distribution(text: str) -> DistributionModel:
+    """The model of ``kind:v1,v2`` (values in field order) or ``kind name=value ...``."""
     s = text.strip()
     if not s:
         raise ConfigError("empty distribution spec")
-    if ":" in s and "=" not in s:
+    colon = ":" in s and "=" not in s
+    if colon:
         kind, _, rest = s.partition(":")
-        kind = kind.strip().lower()
-        raw = [p for p in rest.split(",") if p.strip()]
-        if kind not in _DIST_FIELDS:
-            raise ConfigError(f"unknown distribution kind {kind!r}")
-        cls, fields = _DIST_FIELDS[kind]
-        if len(raw) != len(fields):
-            raise ConfigError(
-                f"{kind} takes {len(fields)} parameters {fields}, got {len(raw)}"
-            )
-        values = [_parse_float(p, f"{kind} parameter") for p in raw]
-        return _build_dist(cls, dict(zip(fields, values)), kind)
-    tokens = s.split()
-    kind = tokens[0].lower()
+        words = [p for p in rest.split(",") if p.strip()]
+    else:
+        kind, *words = s.split()
+    kind = kind.strip().lower()
     if kind not in _DIST_FIELDS:
         raise ConfigError(f"unknown distribution kind {kind!r}")
-    cls, fields = _DIST_FIELDS[kind]
+    cls = _DIST_FIELDS[kind]
+    fields = tuple(f.name for f in dataclasses.fields(cls))
+    if colon and len(words) != len(fields):
+        raise ConfigError(f"{kind} takes {len(fields)} parameters {fields}, got {len(words)}")
     kwargs: dict[str, float] = {}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            raise ConfigError(f"expected name=value in distribution spec, got {tok!r}")
-        name, _, val = tok.partition("=")
+    for k, word in enumerate(words):
+        if colon:
+            name, value = fields[k], word
+        elif "=" not in word:
+            raise ConfigError(f"expected name=value in distribution spec, got {word!r}")
+        else:
+            name, _, value = word.partition("=")
         if name not in fields:
             raise ConfigError(f"{kind} has no parameter {name!r} (expected {fields})")
-        kwargs[name] = _parse_float(val, f"{kind}.{name}")
+        if name in kwargs:
+            raise ConfigError(f"{kind} spec repeats parameter {name!r}")
+        kwargs[name] = _parse_float(value, f"{kind} parameter" if colon else f"{kind}.{name}")
     missing = [f for f in fields if f not in kwargs]
     if missing:
         raise ConfigError(f"{kind} spec is missing parameters: {missing}")
-    return _build_dist(cls, kwargs, kind)
-
-
-def _build_dist(cls, kwargs, kind: str) -> DistributionModel:
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -72,9 +66,9 @@ def _build_dist(cls, kwargs, kind: str) -> DistributionModel:
 
 
 def format_distribution(model: DistributionModel) -> str:
-    for kind, (cls, fields) in _DIST_FIELDS.items():
+    for kind, cls in _DIST_FIELDS.items():
         if isinstance(model, cls):
-            params = " ".join(f"{f}={getattr(model, f)!r}" for f in fields)
+            params = " ".join(f"{f.name}={getattr(model, f.name)!r}" for f in dataclasses.fields(cls))
             return f"{kind} {params}"
     raise ConfigError(f"unsupported model {model!r}")
 

@@ -18,7 +18,7 @@ operation for operation so that every value equals Cephes' own bit for bit:
 :func:`streamrisk._native.load` on the first array :meth:`Gaussian.quantile`
 of a process, for the draws.  When it cannot be built, array draws go through
 :func:`_ndtri` one by one, after one ``RuntimeWarning``: the same values,
-about 2 us a draw instead of 15 ns.
+about 1.2 us a draw instead of 7 ns (2**17 uniform draws, AVX-512 Xeon).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ ZERO_DRAW = 2.0**-54
 # be built.
 _NORMAL = dict(
     stem="_normal",
-    fallback="Gaussian draws go through the scalar reference _ndtri, about 2 microseconds each",
+    fallback="Gaussian draws go through the scalar reference _ndtri, about a microsecond each",
     normal_quantile=[ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p],
 )
 

@@ -39,7 +39,6 @@ import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -326,6 +325,8 @@ def _advance(kernel, config, rngs, state, out, workers) -> None:
                            config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total)
 
     n = 0
+    if workers > 1:  # a run that starts no worker does not import concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         fan_out = map if pool is None else pool.map
         for c, checkpoint in enumerate(config.n_grid):

@@ -152,7 +152,7 @@ class TestRunExperiment:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(ex, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(ex, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         run_experiment(small_config(replicates=ex._KERNEL_LANES), threads=8)
 
     def test_rerun_is_bit_identical(self):
@@ -295,7 +295,7 @@ def _record_pools(monkeypatch) -> list[int]:
         pools.append(workers)
         return ThreadPoolExecutor(workers)
 
-    monkeypatch.setattr(ex, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", pool)
     return pools
 
 
@@ -477,6 +477,21 @@ def test_package_data_lists_every_c_source_and_header():
     native = {p.name for pattern in ("*.c", "*.h") for p in package.glob(pattern)}
     assert native >= {"_kernel.c", "_normal.c", "_simd.h"}
     assert native <= listed
+
+
+def test_calls_inside_a_library_bind_to_that_library(tmp_path):
+    # glibc also exports advance (its legacy <regexp.h> API), as _kernel.c
+    # does: a call from inside a library must reach the library's own function,
+    # not crash in libc's.
+    source = tmp_path / "probe.c"
+    source.write_text("int advance(int x) { return x + 1; }\nint probe(void) { return advance(41); }\n")
+    library = str(tmp_path / "probe.so")
+    kernel = str(Path(_native.__file__).with_name("_kernel.c"))
+    command = [str(source) if arg == kernel else arg for arg in width_command("_kernel", library, "host")]
+    subprocess.run(command, check=True, capture_output=True, timeout=120)
+    probe = f"import ctypes; print(ctypes.CDLL({library!r}).probe())"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "42\n"), run.stderr
 
 
 _C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}

@@ -1,5 +1,6 @@
 """Every command runs in one fresh interpreter that blocks scipy's import:
-numpy is the only runtime dependency, and scipy a reference for the tests."""
+numpy is the only runtime dependency, and scipy a reference for the tests.
+Importing the CLI loads no module that only worker threads or library builds use."""
 
 import json
 import os
@@ -67,3 +68,15 @@ def test_every_command_runs_without_scipy(tmp_path):
         _, header, rows = read_csv(tmp_path / d / "oracle.csv")
         for key, closed, quadrature in zip(header[1:5], rows[0][1:], rows[1][1:]):
             assert float(quadrature) == pytest.approx(float(closed), rel=1e-8), (d, key)
+
+
+def test_cli_import_loads_neither_threads_nor_compiler_modules():
+    # A run imports concurrent.futures only to start workers, and _native
+    # imports subprocess only to build a library.
+    probe = "import sys, streamrisk.cli; print(sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(streamrisk.__file__).resolve().parent.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
