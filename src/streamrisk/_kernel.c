@@ -2,32 +2,43 @@
  *
  * draw fills a sub-block's uniform draws: each lane's PCG64 generator, as
  * numpy's PCG64 (XSL-RR 128/64) steps it, turned into doubles as
- * Generator.random turns its 64-bit outputs, so a lane's row equals what
- * Generator.random would have filled it with, bit for bit.  It interleaves
- * four lanes' LCG chains, which hides the 128-bit multiply's latency; a last
- * group of fewer lanes repeats its last lane, which writes the same draws
- * and state to the same place again.
+ * Generator.random turns its 64-bit outputs, so a lane's draws equal what
+ * Generator.random would have given it, bit for bit.  Where the compiler
+ * targets AVX-512 (F and DQ), whole groups of GROUP lanes step as
+ * GROUP_VECTORS interleaved vectors of DRAW_W lanes, each 128-bit multiply
+ * built from 32 x 32-bit products, and each vector's DRAW_W draws of a step
+ * are one store.  The lanes past the last whole group, and every lane on
+ * other targets, go four at a time through the scalar next_double, four LCG
+ * chains interleaved to hide the 128-bit multiply's latency; a last group of
+ * fewer lanes steps copies of its last lane in the spare ways, which store
+ * nothing.  (One vector with idle lanes is slower on a narrow sub-block than
+ * this scalar path.)
  * step_table fills a chunk's step table: the quantities that all lanes share
  * at each step, computed once per chunk with libm's pow, as CPython's float
  * ** computes StepSchedule.gain_a/gain_b, so each entry equals the scalar
- * reference's.  advance walks `lanes` replicates through `span` steps of the
- * joint recursion (a chunk ends at each checkpoint, where the caller records
- * the state), W lanes per vector and two independent vectors per step, their
- * state in registers; a last group of fewer lanes repeats its last lane in
- * the spare slots, which are not written back.  W and the vectors are
- * _simd.h's, and the indicators are comparison masks ANDed with the bits of
- * 1.0, so a lane takes no branch on its data and rounds exactly as the
- * scalar code would, at either width.  Operation for operation this is
- * estimators.step, so the file must be compiled without floating-point
- * contraction (-ffp-contract=off) and without any flag that lets the
- * compiler replace pow (-ffast-math, vector math libraries).
+ * reference's.
+ * advance walks `lanes` replicates through `span` steps of the joint
+ * recursion (a chunk ends at each checkpoint, where the caller records the
+ * state), in groups of 2 W lanes, each group one vector when it has at most
+ * W lanes and two otherwise, their state in registers; each step of a vector
+ * loads its W draws at once, and a last group's spare slots repeat its last
+ * lane and are not written back.  W and the vectors are _simd.h's, and the
+ * indicators are comparison masks ANDed with the bits of 1.0, so a lane takes
+ * no branch on its data and rounds exactly as the scalar code would, at
+ * either width.  Operation for operation this is estimators.step, so the
+ * file must be compiled without floating-point contraction (-ffp-contract=off)
+ * and without any flag that lets the compiler replace pow (-ffast-math,
+ * vector math libraries).
+ *
+ * The draws and their transform are step-major, each step's lanes side by
+ * side, so a vector of lanes is one contiguous load or store:
  *
  * gen[4 * l + 0..3]    lane l's PCG64 state, low word first, then its
  *                      increment; read and written back
- * u[l * span + t]      uniform draw of lane l at step n0 + t (lane-major)
+ * u[t * lanes + l]     uniform draw of lane l at step n0 + t
  * table[r * ldt + t]   row r at step n = n0 + t: 0 gain_a(max(n, 1)),
  *                      1 gain_b(n), 2 n / (n + 1), 3 1 / (n + 1)
- * x[l * span + t]      draw of lane l at step n0 + t (lane-major)
+ * x[t * lanes + l]     draw of lane l at step n0 + t
  * state[k * ld + l]    estimator k of lane l, in the order theta, theta_bar,
  *                      embedded, classical, bardou; read and written back
  */
@@ -39,8 +50,10 @@ double pow(double, double);
 
 typedef unsigned __int128 u128;
 
-/* numpy's PCG64 multiplier, PCG_DEFAULT_MULTIPLIER_128. */
-#define PCG_MULT (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+/* numpy's PCG64 multiplier, PCG_DEFAULT_MULTIPLIER_128, and its two words. */
+#define MULT_HI 0x2360ED051FC65DA4ULL
+#define MULT_LO 0x4385DF649FCCF645ULL
+#define PCG_MULT ((u128)MULT_HI << 64 | MULT_LO)
 #define DRAW_WAYS 4
 
 /* The next Generator.random of a generator at *s: step, then XSL-RR output,
@@ -54,29 +67,101 @@ static inline double next_double(u128 *s, u128 inc)
     return (double)(int64_t)(out >> 11) * (1.0 / 9007199254740992.0);
 }
 
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#define DRAW_W 8
+#define GROUP_VECTORS 4
+#define GROUP (GROUP_VECTORS * DRAW_W)
+typedef uint64_t vu8 __attribute__((vector_size(8 * DRAW_W)));
+typedef int64_t vi8 __attribute__((vector_size(8 * DRAW_W)));
+typedef double vd8 __attribute__((vector_size(8 * DRAW_W)));
+
+/* The products of the low 32-bit halves of a's and b's lanes, one vpmuludq
+ * (gcc 12 makes the generic form a slower vpmullq). */
+static inline vu8 mul32(vu8 a, vu8 b)
+{
+#ifdef __clang__
+    return (a & 0xFFFFFFFF) * (b & 0xFFFFFFFF);
+#else
+    typedef int vs16 __attribute__((vector_size(8 * DRAW_W)));
+    typedef long long vll8 __attribute__((vector_size(8 * DRAW_W)));
+    return (vu8)__builtin_ia32_pmuludq512_mask((vs16)a, (vs16)b, (vll8){}, 0xFF);
+#endif
+}
+
+/* next_double of DRAW_W generators, each state's words in *hi and *lo and
+ * its increment's in inc_hi and inc_lo.  The low word times MULT_LO is
+ * taken as 128 bits from four 32 x 32-bit products. */
+static inline vd8 next_doubles(vu8 *hi, vu8 *lo, vu8 inc_hi, vu8 inc_lo)
+{
+    const vu8 m0 = (vu8){} + (MULT_LO & 0xFFFFFFFF), m1 = (vu8){} + (MULT_LO >> 32);
+    vu8 a1 = *lo >> 32;
+    vu8 p00 = mul32(*lo, m0), p01 = mul32(*lo, m1), p10 = mul32(a1, m0), p11 = mul32(a1, m1);
+    vu8 mid = (p00 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF);
+    vu8 low = (mid << 32 | (p00 & 0xFFFFFFFF)) + inc_lo;
+    vu8 carry = (vu8)(low < inc_lo); /* all ones where the low word wrapped */
+    *hi = *hi * MULT_LO + *lo * MULT_HI + p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + inc_hi - carry;
+    *lo = low;
+    vu8 xored = *hi ^ *lo, rot = *hi >> 58;
+    vu8 out = (xored >> rot) | (xored << (-rot & 63));
+    return __builtin_convertvector((vi8)(out >> 11), vd8) * (1.0 / 9007199254740992.0);
+}
+
+/* Lanes [l, l + GROUP) of draw, in GROUP_VECTORS vectors stepped together. */
+static void draw_group(int64_t l, int64_t lanes, int64_t span, uint64_t *gen, double *u)
+{
+    vu8 hi[GROUP_VECTORS], lo[GROUP_VECTORS], inc_hi[GROUP_VECTORS], inc_lo[GROUP_VECTORS];
+    for (int j = 0; j < GROUP; j++) {
+        const uint64_t *g = gen + 4 * (l + j);
+        lo[j / DRAW_W][j % DRAW_W] = g[0];
+        hi[j / DRAW_W][j % DRAW_W] = g[1];
+        inc_lo[j / DRAW_W][j % DRAW_W] = g[2];
+        inc_hi[j / DRAW_W][j % DRAW_W] = g[3];
+    }
+    for (int64_t t = 0; t < span; t++) {
+#pragma GCC unroll 4
+        for (int v = 0; v < GROUP_VECTORS; v++) {
+            vd8 d = next_doubles(&hi[v], &lo[v], inc_hi[v], inc_lo[v]);
+            __builtin_memcpy(u + t * lanes + l + v * DRAW_W, &d, sizeof d);
+        }
+    }
+    for (int j = 0; j < GROUP; j++) {
+        gen[4 * (l + j)] = lo[j / DRAW_W][j % DRAW_W];
+        gen[4 * (l + j) + 1] = hi[j / DRAW_W][j % DRAW_W];
+    }
+}
+#else
+#define GROUP 0
+#endif
+
 void draw(int64_t lanes, int64_t span, uint64_t *gen, double *u)
 {
-    for (int64_t l = 0; l < lanes; l += DRAW_WAYS) {
-        /* The group's lanes, the last repeated in the spare ways: a repeat
-         * writes the same draws and state to the same place. */
-        uint64_t *g[DRAW_WAYS];
-        double *row[DRAW_WAYS];
+    int64_t l = 0;
+#if GROUP
+    for (; l + GROUP <= lanes; l += GROUP)
+        draw_group(l, lanes, span, gen, u);
+#endif
+    for (; l < lanes; l += DRAW_WAYS) {
+        /* A last group of fewer lanes steps copies of its last lane in the
+         * spare ways, which store nothing. */
+        int count = lanes - l < DRAW_WAYS ? (int)(lanes - l) : DRAW_WAYS;
         u128 s[DRAW_WAYS], inc[DRAW_WAYS];
         for (int j = 0; j < DRAW_WAYS; j++) {
-            int64_t lane = l + j < lanes ? l + j : lanes - 1;
-            g[j] = gen + 4 * lane;
-            row[j] = u + lane * span;
-            s[j] = (u128)g[j][1] << 64 | g[j][0];
-            inc[j] = (u128)g[j][3] << 64 | g[j][2];
+            const uint64_t *g = gen + 4 * (l + (j < count ? j : count - 1));
+            s[j] = (u128)g[1] << 64 | g[0];
+            inc[j] = (u128)g[3] << 64 | g[2];
         }
-        for (int64_t t = 0; t < span; t++) {
+        double *row = u + l;
+        for (int64_t t = 0; t < span; t++, row += lanes) {
 #pragma GCC unroll 4
-            for (int j = 0; j < DRAW_WAYS; j++)
-                row[j][t] = next_double(&s[j], inc[j]);
+            for (int j = 0; j < DRAW_WAYS; j++) {
+                double d = next_double(&s[j], inc[j]);
+                if (j < count)
+                    row[j] = d;
+            }
         }
-        for (int j = 0; j < DRAW_WAYS; j++) {
-            g[j][0] = (uint64_t)s[j];
-            g[j][1] = (uint64_t)(s[j] >> 64);
+        for (int j = 0; j < count; j++) {
+            gen[4 * (l + j)] = (uint64_t)s[j];
+            gen[4 * (l + j) + 1] = (uint64_t)(s[j] >> 64);
         }
     }
 }
@@ -126,23 +211,18 @@ void advance(int64_t lanes, int64_t span, const double *x, const double *table, 
     const double *gain_a = table, *gain_b = table + ldt;
     const double *cn = table + 2 * ldt, *cn1 = table + 3 * ldt;
     for (int64_t l = 0; l < lanes; l += 2 * W) {
-        /* The group's lanes, the last repeated in the spare slots. */
+        /* The group's lanes in one vector, or two, the last lane repeated in
+         * the spare slots. */
         int count = lanes - l < 2 * W ? (int)(lanes - l) : 2 * W;
-        const double *row[2 * W];
+        int vectors = count <= W ? 1 : 2;
         vd s[2][5];
-        for (int j = 0; j < 2 * W; j++) {
-            int64_t lane = l + (j < count ? j : count - 1);
-            row[j] = x + lane * span;
+        for (int j = 0; j < vectors * W; j++)
             for (int k = 0; k < 5; k++)
-                s[j / W][k][j % W] = state[k * ld + lane];
-        }
+                s[j / W][k][j % W] = state[k * ld + l + (j < count ? j : count - 1)];
         for (int64_t t = 0; t < span; t++) {
 #pragma GCC unroll 2
-            for (int h = 0; h < 2; h++) {
-                vd xt;
-#pragma GCC unroll 4
-                for (int j = 0; j < W; j++)
-                    xt[j] = row[h * W + j][t];
+            for (int h = 0; h < vectors; h++) {
+                vd xt = load(x + t * lanes + l + h * W, count - h * W);
                 step(s[h], xt, gain_a[t], gain_b[t], cn[t], cn1[t], alpha, inv1ma);
             }
         }

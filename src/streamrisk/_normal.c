@@ -121,20 +121,6 @@ static inline vd tail(vd y0, vd x, vd lx)
     return pick((vi)(x == x), r, splat(NAN));
 }
 
-/* Elements 0..W-1 of p, or of p[0..count) with its last element repeated. */
-static inline vd load(const double *p, int count)
-{
-    vd v;
-    if (count == W) {
-        __builtin_memcpy(&v, p, sizeof v);
-        return v;
-    }
-#pragma GCC unroll 4
-    for (int j = 0; j < W; j++)
-        v[j] = p[j < count ? j : count - 1];
-    return v;
-}
-
 /* Elements 0..count-1 of v into p[0..count). */
 static inline void store(double *p, vd v, int count)
 {

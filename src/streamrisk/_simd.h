@@ -24,3 +24,18 @@ static inline vd splat(double a)
         v[j] = a;
     return v;
 }
+
+/* Elements 0..W-1 of p, or, where count < W, of p[0..count) with its last
+ * element repeated. */
+static inline vd load(const double *p, int count)
+{
+    vd v;
+    if (count >= W) {
+        __builtin_memcpy(&v, p, sizeof v);
+        return v;
+    }
+#pragma GCC unroll 4
+    for (int j = 0; j < W; j++)
+        v[j] = p[j < count ? j : count - 1];
+    return v;
+}

@@ -55,7 +55,7 @@ def parse_distribution(text: str) -> DistributionModel:
             raise ConfigError(f"{kind} has no parameter {name!r} (expected {fields})")
         if name in kwargs:
             raise ConfigError(f"{kind} spec repeats parameter {name!r}")
-        kwargs[name] = _parse_float(value, f"{kind} parameter" if colon else f"{kind}.{name}")
+        kwargs[name] = _parse_float(value, f"{kind}.{name}")
     missing = [f for f in fields if f not in kwargs]
     if missing:
         raise ConfigError(f"{kind} spec is missing parameters: {missing}")

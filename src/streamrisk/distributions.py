@@ -1,7 +1,11 @@
 """Samplable distribution models with exact and quadrature-based risk oracles.
 
 Each model carries its cdf/pdf/quantile trio plus closed-form upper-tail
-moments.  :func:`oracle` assembles the exact risk quantities -- quantile,
+moments, and refuses a NaN or infinite parameter by name.  ``quantile`` takes
+a float or an array of draws; ``quantile(u, out=x)`` writes an array's
+transform into ``x`` (C-contiguous float64, u's shape) with the same
+operations as ``quantile(u)``, so the same bits, and returns ``x``.
+:func:`oracle` assembles the exact risk quantities -- quantile,
 superquantile, density at the quantile, and the tail variance
 
     v_alpha = E[X^2 1{X > theta}] - (E[X 1{X > theta}])^2,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import heapq
 import math
 import sys
@@ -63,12 +68,21 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+def _require_finite(model) -> None:
+    """Refuse a NaN or infinite parameter of ``model``, naming it."""
+    for field in dataclasses.fields(model):
+        value = getattr(model, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     mean: float
     stddev: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.stddev > 0:
             raise ValueError(f"stddev must be positive, got {self.stddev}")
 
@@ -79,16 +93,16 @@ class Gaussian:
     def cdf(self, x: float) -> float:
         return _ndtr((float(x) - self.mean) / self.stddev)
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         if isinstance(u, float):
             return self.mean + self.stddev * _ndtri(float(u))
         u = np.ascontiguousarray(u, dtype=np.float64)
+        x = np.empty_like(u) if out is None else out
         library = load(**_NORMAL)
         if library is None:
-            x = [self.mean + self.stddev * _ndtri(y) for y in u.ravel().tolist()]
-            return np.array(x, dtype=np.float64).reshape(u.shape)
-        x = np.empty_like(u)
-        library.normal_quantile(u.size, u.ctypes.data, self.mean, self.stddev, x.ctypes.data)
+            x[...] = np.reshape([self.mean + self.stddev * _ndtri(y) for y in u.ravel().tolist()], u.shape)
+        else:
+            library.normal_quantile(u.size, u.ctypes.data, self.mean, self.stddev, x.ctypes.data)
         return x
 
     def superquantile(self, alpha: float, theta: float) -> float:
@@ -132,6 +146,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
@@ -145,8 +160,13 @@ class Exponential:
             return 0.0
         return -math.expm1(-self.rate * x)
 
-    def quantile(self, u):
-        return -np.log1p(-u) / self.rate
+    def quantile(self, u, out=None):
+        if out is None:
+            return -np.log1p(-u) / self.rate
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        return np.divide(out, self.rate, out=out)
 
     def superquantile(self, alpha: float, theta: float) -> float:
         return theta + 1.0 / self.rate
@@ -177,6 +197,7 @@ class Uniform:
     hi: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
 
@@ -192,8 +213,11 @@ class Uniform:
             return 1.0
         return (x - self.lo) / (self.hi - self.lo)
 
-    def quantile(self, u):
-        return self.lo + (self.hi - self.lo) * u
+    def quantile(self, u, out=None):
+        if out is None:
+            return self.lo + (self.hi - self.lo) * u
+        np.multiply(self.hi - self.lo, u, out=out)
+        return np.add(self.lo, out, out=out)
 
     def superquantile(self, alpha: float, theta: float) -> float:
         return 0.5 * (theta + self.hi)
@@ -225,6 +249,7 @@ class Pareto:
     shape: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if not self.shape > 2:
@@ -245,8 +270,12 @@ class Pareto:
             return 0.0
         return 1.0 - (self.scale / x) ** self.shape
 
-    def quantile(self, u):
-        return self.scale * (1.0 - u) ** (-1.0 / self.shape)
+    def quantile(self, u, out=None):
+        if out is None:
+            return self.scale * (1.0 - u) ** (-1.0 / self.shape)
+        np.subtract(1.0, u, out=out)
+        np.power(out, -1.0 / self.shape, out=out)
+        return np.multiply(self.scale, out, out=out)
 
     def superquantile(self, alpha: float, theta: float) -> float:
         return theta * self.shape / (self.shape - 1.0)
@@ -477,15 +506,18 @@ def _fd_density(model: DistributionModel, theta: float, spread: float) -> float:
 
 
 def mend_zero_draws(model: DistributionModel, u, x) -> np.ndarray:
-    """``x = model.quantile(u)`` with each non-finite value that comes from a
-    ``u = 0`` draw replaced by ``model.quantile(ZERO_DRAW)``.
+    """``x = model.quantile(u)``, an array, with each non-finite value that
+    comes from a ``u = 0`` draw replaced by ``model.quantile(ZERO_DRAW)`` in
+    place; returns ``x``.
 
     ``rng.random()`` can return 0, and an unbounded lower tail maps it to
-    ``-inf`` (Gaussian).  Callers pass ``x`` here only when it holds a
+    ``-inf`` (Gaussian).  Callers pass ``x`` here when it may hold a
     non-finite value; other non-finite values are left for them to report.
     """
     zero = (u == 0.0) & ~np.isfinite(x)
-    return np.where(zero, model.quantile(ZERO_DRAW), x)
+    if zero.any():
+        np.copyto(x, model.quantile(ZERO_DRAW), where=zero)
+    return x
 
 
 def sample(model: DistributionModel, rng: np.random.Generator) -> float:

@@ -10,8 +10,8 @@ replicate's uniforms with a port of numpy's PCG64 that equals
 ``Generator.random`` bit for bit, from a copy of each generator's state read
 once per run (after a cold start's first draw, which numpy makes), so the
 generator objects are read, not advanced; generators of any other kind draw
-through their own ``random``.  It walks replicates two SIMD vectors at a
-time, a replicate per vector element, through a chunk of steps with the
+through their own ``random``.  It walks replicates one or two SIMD vectors
+at a time, a replicate per vector element, through a chunk of steps with the
 arithmetic of :func:`streamrisk.estimators.step`, operation for operation and
 without a branch on the data, so a replicate is bit-identical to running its
 stream through the scalar recursion.  One
@@ -22,11 +22,14 @@ the calling thread has the kernel fill the step table (the gains and Cesaro
 weights that all replicates share), checks its first gains against the
 schedule, and fans the chunk's 32-replicate sub-blocks out to a pool of
 workers, joining them before the next chunk; a run starts no more workers
-than its ``threads``, the CPUs it may use, or its sub-blocks.  No Python runs
-per step.  When no compiler works, the same loop folds the scalar recursion
-over each replicate in the kernel's place, with draws from the generators
-themselves, after one ``RuntimeWarning`` per process: the same results, tens
-of times more slowly.
+than its ``threads``, the CPUs it may use, or its sub-blocks.  Each worker
+draws a sub-block, transforms it with the model's ``quantile(u, out=x)`` and
+hands it to the kernel in the same two buffers all run long, both step-major
+(steps, lanes), so the kernel loads a step's lanes of a vector at once.  No
+Python runs per step.  When no compiler works, the same loop folds the scalar
+recursion over each replicate in the kernel's place, with draws from the
+generators themselves, after one ``RuntimeWarning`` per process: the same
+results, tens of times more slowly.
 Each replicate owns the substream (master_seed, experiment_id, replicate) and
 its own columns of the state and results, which makes thread count and
 completion order irrelevant to the output.
@@ -54,10 +57,11 @@ VARIANT_KEYS = ("embedded", "classical", "bardou")
 ESTIMATOR_KEYS = ("theta", "theta_bar") + VARIANT_KEYS
 
 # The kernel advances sub-blocks of _KERNEL_LANES replicates through chunks of
-# _KERNEL_STEPS steps.  A sub-block's draws are one (lanes, steps) array, drawn
-# and transformed just before the kernel reads it, so each thread holds a few
-# such arrays (1 MiB each) whatever the replicate count.  A run starts at most
-# one thread per sub-block.
+# _KERNEL_STEPS steps.  A sub-block's draws and their transform are two
+# step-major (steps, lanes) arrays, drawn and transformed just before the
+# kernel reads them, in two buffers (1 MiB each) that each thread keeps for
+# the whole run, whatever the replicate count.  A run starts at most one
+# thread per sub-block.
 _KERNEL_LANES = 32
 _KERNEL_STEPS = 4096
 
@@ -232,7 +236,7 @@ def _simulate_block(
         sq0 = np.full(r_total, float(oracle.vartheta_alpha))
     else:
         # A cold start takes each replicate's first draw, its step 0, as theta_0.
-        theta = _draws(config.model, rngs, np.empty((r_total, 1)), 0, -1)[:, 0]
+        theta = _draws(config.model, rngs, np.empty((1, r_total)), 0, -1)[0]
         sq0 = theta / (1.0 - config.alpha)
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
@@ -241,27 +245,38 @@ def _simulate_block(
     return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
 
 
-def _draws(model: DistributionModel, rngs, u: np.ndarray, first_replicate: int, n: int) -> np.ndarray:
-    """Fill row j of ``u`` (lanes, steps) with the next draws of ``rngs[j]``
-    and return their transform (see _transform)."""
-    for row, rng in zip(u, rngs):
+def _draws(model: DistributionModel, rngs, u: np.ndarray, first_replicate: int, n: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Fill column j of ``u`` (steps, lanes) with the next draws of
+    ``rngs[j]`` and return their transform (see _transform)."""
+    row = np.empty(u.shape[0])
+    for j, rng in enumerate(rngs):
         rng.random(out=row)
-    return _transform(model, u, first_replicate, n)
+        u[:, j] = row
+    return _transform(model, u, first_replicate, n, out)
 
 
-def _transform(model: DistributionModel, u: np.ndarray, first_replicate: int, n: int) -> np.ndarray:
-    """The transform of draws ``u`` (lanes, steps) as a C-contiguous array;
-    steps count from ``n + 1`` and rows from replicate ``first_replicate``."""
-    x = np.ascontiguousarray(model.quantile(u), dtype=np.float64)
-    if x.shape != u.shape:  # the kernel reads x through a raw pointer
-        raise ValueError(f"quantile of {u.shape} draws returned shape {x.shape}")
-    if not np.isfinite(x).all():
-        x = distributions.mend_zero_draws(model, u, x)
+def _transform(model: DistributionModel, u: np.ndarray, first_replicate: int, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The transform of draws ``u`` (steps, lanes), written into ``out`` (a
+    new array when None), a C-contiguous float64 array of u's shape; steps
+    count from ``n + 1`` and columns from replicate ``first_replicate``."""
+    if out is None:
+        out = np.empty_like(u)
+    x = model.quantile(u, out=out)
+    if x is not out:  # the kernel reads out through a raw pointer
+        raise ValueError(f"quantile of {u.shape} draws did not write into its out array")
+    # One reduction finds every non-finite draw; a sum of finite draws can
+    # still overflow, so only the scan below says a draw is bad.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum()
+    if not math.isfinite(total):
+        distributions.mend_zero_draws(model, u, x)
         bad = np.argwhere(~np.isfinite(x))
         if bad.size:
             raise RuntimeError(
-                f"non-finite draw at replicate {first_replicate + int(bad[0, 0])}, "
-                f"step {n + int(bad[0, 1]) + 1}"
+                f"non-finite draw at replicate {first_replicate + int(bad[0, 1])}, "
+                f"step {n + int(bad[0, 0]) + 1}"
             )
     return x
 
@@ -303,21 +318,22 @@ def _advance(kernel, config, rngs, state, out, workers) -> None:
     words = None if kernel is None else _pcg64_words(rngs)
     table = np.empty((4, _KERNEL_STEPS))  # gain_a, gain_b, n/(n+1), 1/(n+1)
     inv1ma = 1.0 / (1.0 - config.alpha)
-    # Each thread reuses one draw buffer and holds its last transform until the
-    # next one exists: arrays freed between sub-blocks go back to the OS and
-    # are faulted in again, which makes a one-thread Pareto run 25% slower.
+    # Each thread draws and transforms every sub-block in the same two
+    # step-major buffers, kept for the whole run: an array made per sub-block
+    # goes back to the OS when freed and is faulted in again.
     mine = threading.local()
 
     def sub_block(lo: int) -> None:
         hi = min(lo + _KERNEL_LANES, r_total)
-        if not hasattr(mine, "buf"):
-            mine.buf = np.empty(min(_KERNEL_LANES, r_total) * _KERNEL_STEPS)
-        u = mine.buf[: (hi - lo) * span].reshape(hi - lo, span)
+        if not hasattr(mine, "u"):
+            size = min(_KERNEL_LANES, r_total) * _KERNEL_STEPS
+            mine.u, mine.x = np.empty(size), np.empty(size)
+        u, x = (buf[: span * (hi - lo)].reshape(span, hi - lo) for buf in (mine.u, mine.x))
         if words is None:
-            mine.x = x = _draws(model, rngs[lo:hi], u, lo, n)
+            _draws(model, rngs[lo:hi], u, lo, n, x)
         else:
             kernel.draw(hi - lo, span, words[lo:].ctypes.data, u.ctypes.data)
-            mine.x = x = _transform(model, u, lo, n)
+            _transform(model, u, lo, n, x)
         if kernel is None:
             _fold_scalar(config, x, n, state[:, lo:hi])
         else:
@@ -347,10 +363,10 @@ def _advance(kernel, config, rngs, state, out, workers) -> None:
 
 
 def _fold_scalar(config, x, n, state) -> None:
-    """The kernel's work done by estimators.run_stream: each lane of ``x``
-    steps on from counter ``n`` and its column of ``state``, and leaves its
-    final state back in ``state``."""
-    for lane, draws in enumerate(x.tolist()):
+    """The kernel's work done by estimators.run_stream: each lane (column) of
+    ``x`` steps on from counter ``n`` and its column of ``state``, and leaves
+    its final state back in ``state``."""
+    for lane, draws in enumerate(x.T.tolist()):
         start = JointEstimatorState(config.alpha, config.schedule, n, *state[:, lane].tolist())
         end = run_stream(start, draws)
         state[:, lane] = (end.theta, end.theta_bar, end.sq_embedded, end.sq_classical, end.sq_bardou)

@@ -52,7 +52,7 @@ REJECTED = [
     (format_distribution, "not a model", "unsupported model 'not a model'"),
     (parse_kv_text, "# c\n\nalpha 0.5", "line 3: expected 'key = value', got 'alpha 0.5'"),
     (parse_kv_text, "a = 1\na = 2", "line 2: duplicate key 'a'"),
-    (parse_distribution, "gaussian:0,x", "gaussian parameter: expected a number, got 'x'"),
+    (parse_distribution, "gaussian:0,x", "gaussian.stddev: expected a number, got 'x'"),
     (_config, {"replicates": "4.5"}, "replicates: expected an integer, got '4.5'"),
     (_config, {"warm_start": "yes"}, "warm_start: expected true or false, got 'yes'"),
     (experiment_config_from_mapping, {"dist": "uniform:0,1"}, "config is missing required keys: ['alpha', "),
@@ -93,6 +93,26 @@ def test_both_spellings_build_one_model(colon, keyword, model, text):
     assert parse_distribution(colon) == parse_distribution(keyword) == model
     assert format_distribution(model) == text
     assert parse_distribution(text) == model
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("gaussian:nan,1", "mean must be finite, got nan"),
+        ("gaussian mean=inf stddev=1", "mean must be finite, got inf"),
+        ("gaussian:0,inf", "stddev must be finite, got inf"),
+        ("exponential rate=inf", "rate must be finite, got inf"),
+        ("uniform:0,inf", "hi must be finite, got inf"),
+        ("pareto:inf,3", "scale must be finite, got inf"),
+        ("pareto:1,inf", "shape must be finite, got inf"),
+    ],
+)
+def test_non_finite_parameter_is_refused_by_name(spec, message):
+    # Each model refuses it at construction, not later as an overflowing
+    # derived quantity.
+    kind = spec.split(":")[0].split()[0]
+    with pytest.raises(ConfigError, match=f"^invalid {kind} parameters: {re.escape(message)}$"):
+        parse_distribution(spec)
 
 
 def test_cli_refuses_a_repeated_parameter(capsys):

@@ -151,25 +151,26 @@ class TestSampling:
         assert sample(m, substream(7, 0, 1)) != x1
 
     def test_exponential_law_of_large_numbers(self):
-        draws = _draws(Exponential(1.0), [substream(123, 0, 0)], np.empty((1, 10**6)), 0, 0)
+        draws = _draws(Exponential(1.0), [substream(123, 0, 0)], np.empty((10**6, 1)), 0, 0)
         assert abs(draws.mean() - 1.0) < 0.005
 
     def test_pareto_law_of_large_numbers(self):
-        draws = _draws(Pareto(1.0, 3.0), [substream(123, 0, 1)], np.empty((1, 10**6)), 0, 0)
+        draws = _draws(Pareto(1.0, 3.0), [substream(123, 0, 1)], np.empty((10**6, 1)), 0, 0)
         assert abs(draws.mean() - 1.5) < 0.01
 
     @pytest.mark.parametrize("m", ALL_MODELS, ids=repr)
     def test_block_draws_match_scalar_draws(self, m):
-        # The engine's draws, two lanes at once, against repeated scalar draws.
-        block = _draws(m, [substream(99, 3, r) for r in (5, 6)], np.empty((2, 2000)), 5, 0)
+        # The engine's draws, two lanes (columns) at once, against repeated
+        # scalar draws.
+        block = _draws(m, [substream(99, 3, r) for r in (5, 6)], np.empty((2000, 2)), 5, 0)
         for lane, r in enumerate((5, 6)):
             rng = substream(99, 3, r)
-            assert np.array_equal(block[lane], [sample(m, rng) for _ in range(2000)])
+            assert np.array_equal(block[:, lane], [sample(m, rng) for _ in range(2000)])
 
     def test_chunked_generation_matches_unchunked(self):
         for m in ALL_MODELS:
             rng, reference = substream(5, 0, 0), substream(5, 0, 0)
-            chunked = np.concatenate([_draws(m, [rng], np.empty((1, size)), 0, 0)[0] for size in (10, 22)])
+            chunked = np.concatenate([_draws(m, [rng], np.empty((size, 1)), 0, 0)[:, 0] for size in (10, 22)])
             assert np.array_equal(chunked, [sample(m, reference) for _ in range(32)]), m
 
     def test_zero_draw_is_read_as_zero_draw_constant(self):
@@ -184,8 +185,19 @@ class TestSampling:
         expected = float(m.quantile(ZERO_DRAW))
         assert math.isfinite(expected) and not math.isfinite(m.quantile(0.0))
         assert sample(m, ZeroRng()) == expected
-        assert np.array_equal(_draws(m, [ZeroRng()], np.empty((1, 3)), 0, 0), np.full((1, 3), expected))
+        assert np.array_equal(_draws(m, [ZeroRng()], np.empty((3, 1)), 0, 0), np.full((3, 1), expected))
         assert sample(Exponential(1.0), ZeroRng()) == 0.0
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=repr)
+    def test_quantile_into_out_equals_quantile(self, m):
+        # The engine transforms into a buffer it reuses: quantile(u, out=x)
+        # must return x, holding quantile(u)'s bits, ends of the draws' range
+        # included.
+        u = np.concatenate([[0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], substream(4, 0, 0).random(4093)]).reshape(4097, 1)
+        x = np.full_like(u, np.nan)
+        with np.errstate(divide="ignore"):
+            assert m.quantile(u, out=x) is x
+            assert np.array_equal(x.view(np.uint64), np.asarray(m.quantile(u)).view(np.uint64))
 
     def test_substream_rejects_negative_components(self):
         with pytest.raises(ValueError):

@@ -212,11 +212,11 @@ class TestRunExperiment:
     def test_non_finite_draw_aborts_with_diagnostics(self):
         # An infinite draw in lane 1, step 4 of the 3-lane second sub-block is
         # named by its global replicate index.
-        def quantile(u):
-            x = np.array(u, dtype=np.float64)
-            if x.shape[:1] == (3,):
-                x[1, 3] = np.inf
-            return x
+        def quantile(u, out):
+            out[...] = u
+            if out.shape[1:] == (3,):
+                out[3, 1] = np.inf
+            return out
 
         cfg = small_config(replicates=ex._KERNEL_LANES + 3, warm_start=True)
         object.__setattr__(cfg, "model", SimpleNamespace(quantile=quantile))
@@ -228,11 +228,11 @@ class TestRunExperiment:
         # A cold start reads each replicate's first draw as theta_0; an infinite
         # one that is not a u = 0 draw is named at step 0, not found as a
         # non-finite estimator after the first chunk.
-        def quantile(u):
-            x = np.array(u, dtype=np.float64)
-            if x.shape[1:] == (1,):
-                x[2, 0] = np.inf
-            return x
+        def quantile(u, out):
+            out[...] = u
+            if out.shape[:1] == (1,):
+                out[0, 2] = np.inf
+            return out
 
         cfg = small_config(replicates=4, n_grid=(10,))
         object.__setattr__(cfg, "model", SimpleNamespace(quantile=quantile))
@@ -359,35 +359,39 @@ def test_kernel_draw_equal_to_an_iterate_counts_as_not_above(kernel):
 
 @pytest.mark.parametrize("cold", [False, True], ids=["fresh", "after-cold-start"])
 @pytest.mark.parametrize("span", [1, ex._KERNEL_STEPS])
-@pytest.mark.parametrize("lanes", [1, 2, 3, 5, 31, 32, 33])
+@pytest.mark.parametrize("lanes", range(1, ex._KERNEL_LANES + 2))
 def test_kernel_draw_equals_numpy_random(kernel, lanes, span, cold):
     # numpy promises PCG64's bit stream, not Generator.random's across
-    # versions: this pins the kernel's port to the numpy it runs with.  Three
-    # calls carry each lane's state over; a cold start has drawn one value
-    # through numpy before the kernel reads the state.
+    # versions: this pins the kernel's port to the numpy it runs with, at
+    # every lane count of a sub-block and one more (a whole vector group and
+    # the scalar rest).  Three calls carry each lane's state over; a cold
+    # start has drawn one value through numpy before the kernel reads the
+    # state.  The draws are step-major: lane l of step t at u[t, l].
     rngs = [substream(31, lanes, r) for r in range(lanes)]
     if cold:
-        ex._draws(sr.Uniform(0, 1), rngs, np.empty((lanes, 1)), 0, -1)
+        ex._draws(sr.Uniform(0, 1), rngs, np.empty((1, lanes)), 0, -1)
     words = ex._pcg64_words(rngs)
     for _ in range(3):
-        u = np.empty((lanes, span))
+        u = np.empty((span, lanes))
         kernel.draw(lanes, span, words.ctypes.data, u.ctypes.data)
-        want = np.stack([rng.random(span) for rng in rngs])
+        want = np.stack([rng.random(span) for rng in rngs], axis=1)
         assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
 
 
 def test_advance_gives_the_same_bits_at_either_width(tmp_path):
-    # Odd lane counts leave every remainder of a group of two vectors at
-    # either width.  Each count runs a chunk of random draws and a step whose
-    # draws tie theta (even lanes) or theta_bar (odd lanes).
+    # Every lane count from 1 to 2W + 1 at the widest W (4 doubles) leaves
+    # every remainder of a group of one or two vectors at either width; up to
+    # 17, and 33, also after whole groups.  Each count runs a chunk of random
+    # draws and a step whose draws tie theta (even lanes) or theta_bar (odd
+    # lanes); the draws are step-major, (steps, lanes).
     host, narrow = (build_at_width(ex._KERNEL, tmp_path, width) for width in WIDTHS)
     rng = np.random.default_rng(20261019)
     n0, alpha = 3, 0.9
-    for lanes in [*range(1, 18, 2), 33]:
+    for lanes in [*range(1, 18), 33]:
         start = np.vstack([rng.exponential(size=(2, lanes)), rng.exponential(2.0, size=(3, lanes))])
-        ties = np.where(np.arange(lanes) % 2 == 0, start[0], start[1])[:, None]
-        for x in (rng.exponential(size=(lanes, 257)), ties):
-            span = x.shape[1]
+        ties = np.where(np.arange(lanes) % 2 == 0, start[0], start[1])[None, :]
+        for x in (rng.exponential(size=(257, lanes)), ties):
+            span = x.shape[0]
             table = np.empty((4, span))
             host.step_table(span, n0, FAST.a1, FAST.a_exp, FAST.b1, FAST.b_exp, table.ctypes.data, span)
             states = []
@@ -401,9 +405,11 @@ def test_advance_gives_the_same_bits_at_either_width(tmp_path):
 
 def test_chunk_memory_stays_within_budget(kernel):
     # 4096 replicates through one full kernel chunk and one more step.  The
-    # kernel draws one sub-block (_KERNEL_LANES, _KERNEL_STEPS) at a time, so
-    # the block's traced peak, beyond its generators, is a few sub-block arrays
-    # (draws, transform, its temporaries) whatever the replicate count.
+    # kernel draws one sub-block (_KERNEL_STEPS, _KERNEL_LANES) at a time into
+    # the thread's two reused buffers (draws, transform), so the block's traced
+    # peak, beyond its generators, is those two sub-block arrays and about 0.65
+    # of one more (state, results, step table, generator words), whatever the
+    # replicate count.  A fresh transform array per sub-block reads about 3.6.
     budget = ex._KERNEL_LANES * ex._KERNEL_STEPS * 8
     cfg = small_config(replicates=4096, n_grid=(ex._KERNEL_STEPS + 1,), warm_start=True)
     oracle = sr.oracle(cfg.model, cfg.alpha)
@@ -414,7 +420,7 @@ def test_chunk_memory_stays_within_budget(kernel):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * budget, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak <= 3 * budget, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 @given(
@@ -550,7 +556,7 @@ def test_estimator_overflow_names_replicate_and_step(monkeypatch, fold):
     if fold:
         monkeypatch.setitem(_native._loaded, "_kernel", None)
     cfg = small_config(alpha=0.9, n_grid=(5,), replicates=ex._KERNEL_LANES + 3, warm_start=True)
-    huge_in_second = SimpleNamespace(quantile=lambda u: np.full_like(u, 1e308 if len(u) == 3 else 0.5))
+    huge_in_second = SimpleNamespace(quantile=lambda u, out: np.copyto(out, 1e308 if u.shape[1] == 3 else 0.5) or out)
     object.__setattr__(cfg, "model", huge_in_second)
     rngs = [substream(555, 0, r) for r in range(cfg.replicates)]
     with pytest.raises(RuntimeError, match="^estimator 'embedded' became non-finite in replicate 32 by step 5$"):
