@@ -1,5 +1,14 @@
 /* Replicate kernel of streamrisk.experiments.
  *
+ * seed writes, for each replicate r in [first, first + count), the four
+ * 64-bit words that numpy's SeedSequence((master, experiment, r))
+ * .generate_state(4, np.uint64) returns, which is what numpy's PCG64 seeds
+ * itself from: the entropy split into 32-bit words, low first and at least
+ * one per integer, hashed into a 4-word pool and mixed (hashmix, mix), then
+ * eight 32-bit words drawn from the pool and paired low word first.
+ * streamrisk.distributions.substream hands them to numpy's PCG64, so its
+ * generator's state equals default_rng((master, experiment, r))'s; the tests
+ * pin the words to SeedSequence's.
  * draw fills a sub-block's uniform draws: each lane's PCG64 generator, as
  * numpy's PCG64 (XSL-RR 128/64) steps it, turned into doubles as
  * Generator.random turns its 64-bit outputs, so a lane's draws equal what
@@ -33,6 +42,7 @@
  * The draws and their transform are step-major, each step's lanes side by
  * side, so a vector of lanes is one contiguous load or store:
  *
+ * words[4 * i + 0..3]  replicate first + i's seed words
  * gen[4 * l + 0..3]    lane l's PCG64 state, low word first, then its
  *                      increment; read and written back
  * u[t * lanes + l]     uniform draw of lane l at step n0 + t
@@ -162,6 +172,74 @@ void draw(int64_t lanes, int64_t span, uint64_t *gen, double *u)
         for (int j = 0; j < count; j++) {
             gen[4 * (l + j)] = (uint64_t)s[j];
             gen[4 * (l + j) + 1] = (uint64_t)(s[j] >> 64);
+        }
+    }
+}
+
+/* numpy's SeedSequence (numpy/random/bit_generator.pyx): the constants of its
+ * hashmix, mix and generate_state, and the xor-shift of all three. */
+#define POOL 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+#define XSHIFT 16
+
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ value >> XSHIFT;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> XSHIFT;
+}
+
+/* n's 32-bit words, low first and at least one, appended to entropy[*len..]. */
+static inline void append_words(uint64_t n, uint32_t *entropy, int *len)
+{
+    do {
+        entropy[(*len)++] = (uint32_t)n;
+        n >>= 32;
+    } while (n);
+}
+
+void seed(uint64_t master, uint64_t experiment, uint64_t first, int64_t count, uint64_t *words)
+{
+    for (int64_t i = 0; i < count; i++) {
+        uint32_t entropy[6], pool[POOL], hash_a = INIT_A, hash_b = INIT_B;
+        int len = 0;
+        append_words(master, entropy, &len);
+        append_words(experiment, entropy, &len);
+        append_words(first + (uint64_t)i, entropy, &len);
+        /* The pool takes the first POOL words, hashed (zeros past the entropy's
+         * end), mixes every word into every other, then mixes in the rest. */
+        for (int j = 0; j < POOL; j++)
+            pool[j] = hashmix(j < len ? entropy[j] : 0, &hash_a);
+        for (int src = 0; src < POOL; src++)
+            for (int dst = 0; dst < POOL; dst++)
+                if (src != dst)
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_a));
+        for (int src = POOL; src < len; src++)
+            for (int dst = 0; dst < POOL; dst++)
+                pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash_a));
+        /* generate_state(4, np.uint64): eight 32-bit words drawn cycling over
+         * the pool, paired low word first. */
+        for (int k = 0; k < 8; k++) {
+            uint32_t value = pool[k % POOL] ^ hash_b;
+            hash_b *= MULT_B;
+            value *= hash_b;
+            value ^= value >> XSHIFT;
+            if (k % 2 == 0)
+                words[4 * i + k / 2] = value;
+            else
+                words[4 * i + k / 2] |= (uint64_t)value << 32;
         }
     }
 }

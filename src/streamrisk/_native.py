@@ -31,6 +31,22 @@ from pathlib import Path
 
 _lock = threading.Lock()
 _loaded: dict[str, ctypes.CDLL | None] = {}
+# The signatures each stem was first asked for with: a library has one set.
+_signatures: dict[str, dict] = {}
+
+# The replicate kernel, as load takes it: the C signatures of its four
+# functions, and what runs in its place when it cannot be built.  Both
+# distributions (seed) and experiments (draw, step_table, advance) load it.
+_I64, _U64, _PTR, _DBL = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_double
+KERNEL = dict(
+    stem="_kernel",
+    fallback="seeding each replicate through numpy's SeedSequence and folding the scalar reference "
+             "estimators.step over it, tens of times more slowly",
+    seed=[_U64, _U64, _U64, _I64, _PTR],
+    draw=[_I64, _I64, _PTR, _PTR],
+    step_table=[_I64, _I64, _DBL, _DBL, _DBL, _DBL, _PTR, _I64],
+    advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64],
+)
 
 
 def load(stem: str, fallback: str, **signatures) -> ctypes.CDLL | None:
@@ -38,10 +54,14 @@ def load(stem: str, fallback: str, **signatures) -> ctypes.CDLL | None:
 
     It is built once per process, even when several threads ask at once.
     Each keyword names one of its functions and gives its ``argtypes`` (its
-    ``restype`` is None); they are set when the library is built.  A failed
-    build warns once, quoting the compiler's error and saying ``fallback``:
-    what runs in the library's place."""
+    ``restype`` is None); they are set when the library is built, so a later
+    call with other signatures raises ValueError rather than return a library
+    whose functions convert their arguments otherwise.  A failed build warns
+    once, quoting the compiler's error and saying ``fallback``: what runs in
+    the library's place."""
     with _lock:
+        if _signatures.setdefault(stem, signatures) != signatures:
+            raise ValueError(f"library {stem} is loaded with signatures {_signatures[stem]}, not {signatures}")
         if stem not in _loaded:
             _loaded[stem] = _build(stem, fallback, signatures)
         return _loaded[stem]

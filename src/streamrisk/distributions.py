@@ -38,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from ._native import load
+from ._native import KERNEL, load
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -536,14 +536,64 @@ def sample(model: DistributionModel, rng: np.random.Generator) -> float:
 
 
 def substream(master_seed: int, experiment_id: int, replicate: int) -> np.random.Generator:
-    """Independent generator for replicate ``replicate`` of one experiment.
+    """Independent generator for replicate ``replicate`` of one experiment:
+    ``np.random.default_rng((master_seed, experiment_id, replicate))``, whose
+    state it equals.
 
     Seeding with the (master_seed, experiment_id, replicate) triple keeps
-    parallel replicates bit-reproducible regardless of execution order.
+    parallel replicates bit-reproducible regardless of execution order.  Each
+    component is a 64-bit unsigned integer.  The kernel's ``seed``, a port of
+    numpy's SeedSequence, computes the four words that
+    ``SeedSequence(triple).generate_state(4, np.uint64)`` returns, and
+    numpy's own PCG64 seeds itself from them: the Python-level SeedSequence,
+    most of ``default_rng``'s cost, is built only if the generator spawns.
+    When the kernel cannot be built, this is ``default_rng`` itself.
     """
-    if master_seed < 0 or experiment_id < 0 or replicate < 0:
-        raise ValueError("seed components must be nonnegative")
-    return np.random.default_rng((int(master_seed), int(experiment_id), int(replicate)))
+    entropy = (int(master_seed), int(experiment_id), int(replicate))
+    for name, value in zip(("master_seed", "experiment_id", "replicate"), entropy):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"seed component {name} must be a 64-bit unsigned integer, got {value}")
+    kernel = load(**KERNEL)
+    if kernel is None:
+        return np.random.default_rng(entropy)
+    words = (ctypes.c_uint64 * 4)()
+    kernel.seed(*entropy, 1, words)
+    return np.random.Generator(np.random.PCG64(_seed_words_class()(bytes(words), entropy)))
+
+
+_SeedWords = None
+
+
+def _seed_words_class():
+    """The class of :func:`substream`'s seed sequences, defined on its first
+    call: a module that defined it at import would load ``numpy.random``."""
+    global _SeedWords
+    if _SeedWords is None:
+        from numpy.random.bit_generator import ISpawnableSeedSequence
+
+        class _SeedWords(ISpawnableSeedSequence):
+            """``SeedSequence(entropy)``, given the bytes of its
+            ``generate_state(4, np.uint64)`` (what PCG64 asks for), which it
+            returns; any other request, and ``spawn``, go to a SeedSequence
+            of ``entropy`` built on first use."""
+
+            def __init__(self, words: bytes, entropy: tuple[int, int, int]) -> None:
+                self.words, self.entropy, self._sequence = words, entropy, None
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                if n_words == 4 and dtype is np.uint64:
+                    return np.frombuffer(self.words, np.uint64)
+                return self.sequence().generate_state(n_words, dtype)
+
+            def spawn(self, n_children):
+                return self.sequence().spawn(n_children)
+
+            def sequence(self):
+                if self._sequence is None:
+                    self._sequence = np.random.SeedSequence(self.entropy)
+                return self._sequence
+
+    return _SeedWords
 
 
 # Cephes' normal cdf and its inverse (S. L. Moshier), ported operation for

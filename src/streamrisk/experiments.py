@@ -32,13 +32,15 @@ generators themselves, after one ``RuntimeWarning`` per process: the same
 results, tens of times more slowly.
 Each replicate owns the substream (master_seed, experiment_id, replicate) and
 its own columns of the state and results, which makes thread count and
-completion order irrelevant to the output.
+completion order irrelevant to the output.  The run seeds one generator per
+replicate through :func:`streamrisk.distributions.substream`, numpy's PCG64
+seeded from the kernel's port of numpy's SeedSequence (without a compiler,
+``default_rng``): the same state either way.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
 import os
 import threading
@@ -48,7 +50,7 @@ from typing import Iterable
 import numpy as np
 
 from . import distributions
-from ._native import load
+from ._native import KERNEL, load
 from .distributions import DistributionModel, RiskOracle, substream
 from .estimators import JointEstimatorState, run_stream
 from .schedules import StepSchedule
@@ -70,17 +72,7 @@ _KERNEL_STEPS = 4096
 _GENERATOR_BYTES = 1024
 _CHECKPOINT_BYTES = 5 * 8
 
-# The engine's kernel, as _native.load takes it: the C signatures of its three
-# functions, and what runs in its place when it cannot be built.
-_I64, _PTR, _DBL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 _LOW64 = 2**64 - 1
-_KERNEL = dict(
-    stem="_kernel",
-    fallback="folding the scalar reference estimators.step over each replicate, tens of times more slowly",
-    draw=[_I64, _I64, _PTR, _PTR],
-    step_table=[_I64, _I64, _DBL, _DBL, _DBL, _DBL, _PTR, _I64],
-    advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64],
-)
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,8 @@ class ExperimentConfig:
         object.__setattr__(self, "variants", ordered)
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        if self.experiment_id < 0:
-            raise ValueError(f"experiment_id must be nonnegative, got {self.experiment_id}")
+        if not 0 <= self.experiment_id < 2**64:
+            raise ValueError(f"experiment_id must be a 64-bit unsigned integer, got {self.experiment_id}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +233,7 @@ def _simulate_block(
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
     out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_total))
-    _advance(load(**_KERNEL), config, rngs, state, out, workers)
+    _advance(load(**KERNEL), config, rngs, state, out, workers)
     return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
 
 

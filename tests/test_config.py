@@ -129,6 +129,17 @@ def test_cli_refuses_a_seed_out_of_range(tmp_path, capsys, seed):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("experiment_id", ["-1", str(2**64)])
+def test_cli_refuses_an_experiment_id_out_of_range(tmp_path, capsys, experiment_id):
+    # The id is a seed component, as master_seed is: a 65-bit one would seed
+    # as its low 64 bits.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in {**CONFIG, "experiment_id": experiment_id}.items()))
+    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: experiment_id must be a 64-bit unsigned integer, got {experiment_id}\n"
+    assert not (tmp_path / "o").exists()
+
+
 _finite = dict(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=1e-300, max_value=1e300, **_finite)
 

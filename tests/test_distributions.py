@@ -198,7 +198,3 @@ class TestSampling:
         with np.errstate(divide="ignore"):
             assert m.quantile(u, out=x) is x
             assert np.array_equal(x.view(np.uint64), np.asarray(m.quantile(u)).view(np.uint64))
-
-    def test_substream_rejects_negative_components(self):
-        with pytest.raises(ValueError):
-            substream(-1, 0, 0)

@@ -333,7 +333,7 @@ class _Like:
 
 @pytest.fixture(scope="module")
 def kernel():
-    kernel = _native.load(**ex._KERNEL)
+    kernel = _native.load(**_native.KERNEL)
     if kernel is None:
         pytest.skip("the replicate kernel could not be built here")
     return kernel
@@ -384,7 +384,7 @@ def test_advance_gives_the_same_bits_at_either_width(tmp_path):
     # 17, and 33, also after whole groups.  Each count runs a chunk of random
     # draws and a step whose draws tie theta (even lanes) or theta_bar (odd
     # lanes); the draws are step-major, (steps, lanes).
-    host, narrow = (build_at_width(ex._KERNEL, tmp_path, width) for width in WIDTHS)
+    host, narrow = (build_at_width(_native.KERNEL, tmp_path, width) for width in WIDTHS)
     rng = np.random.default_rng(20261019)
     n0, alpha = 3, 0.9
     for lanes in [*range(1, 18), 33]:
@@ -500,10 +500,10 @@ def test_calls_inside_a_library_bind_to_that_library(tmp_path):
     assert (run.returncode, run.stdout) == (0, "42\n"), run.stderr
 
 
-_C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+_C_TYPES = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "double": ctypes.c_double}
 
 
-@pytest.mark.parametrize("spec", [ex._KERNEL, distributions._NORMAL], ids=lambda spec: spec["stem"])
+@pytest.mark.parametrize("spec", [_native.KERNEL, distributions._NORMAL], ids=lambda spec: spec["stem"])
 def test_ctypes_signatures_match_c_prototypes(spec):
     # ctypes passes what argtypes says, whatever the C function takes: a
     # mismatch is undefined behaviour that no call reports.
@@ -513,6 +513,17 @@ def test_ctypes_signatures_match_c_prototypes(spec):
         for name, params in re.findall(r"^void (\w+)\(([^)]*)\)", source, re.M)
     }
     assert prototypes == {name: argtypes for name, argtypes in spec.items() if name not in ("stem", "fallback")}
+
+
+def test_load_refuses_other_signatures_for_a_loaded_library(kernel):
+    # The library's argtypes are its first caller's: a second spec would have
+    # its calls convert their arguments by the first's types.
+    other = dict(_native.KERNEL, seed=[ctypes.c_int64] * 4 + [ctypes.c_void_p])
+    with pytest.raises(ValueError, match="^library _kernel is loaded with signatures "):
+        _native.load(**other)
+    with pytest.raises(ValueError, match="^library _kernel is loaded with signatures "):
+        _native.load(stem="_kernel", fallback="none", draw=_native.KERNEL["draw"])
+    assert _native.load(**_native.KERNEL) is kernel
 
 
 @pytest.mark.parametrize("warm", [True, False])

@@ -70,10 +70,18 @@ def test_every_command_runs_without_scipy(tmp_path):
             assert float(quadrature) == pytest.approx(float(closed), rel=1e-8), (d, key)
 
 
-def test_cli_import_loads_neither_threads_nor_compiler_modules():
-    # A run imports concurrent.futures only to start workers, and _native
-    # imports subprocess only to build a library.
-    probe = "import sys, streamrisk.cli; print(sorted({'concurrent.futures', 'subprocess'} & set(sys.modules)))"
+def test_cli_import_loads_neither_threads_nor_compiler_modules(tmp_path):
+    # A run imports concurrent.futures only to start workers, _native imports
+    # subprocess only to build a library, and numpy.random loads on the first
+    # substream: none of them is part of set-up (import, config, oracle).
+    (tmp_path / "run.cfg").write_text(CFG.format("false"))
+    probe = (
+        "import sys, streamrisk.cli\n"
+        "from streamrisk import config, distributions\n"
+        f"cfg = config.load_experiment_config({str(tmp_path / 'run.cfg')!r})\n"
+        "distributions.oracle(cfg.model, cfg.alpha)\n"
+        "print(sorted(m for m in sys.modules if m in {'concurrent.futures', 'subprocess'} or m.startswith('numpy.random')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(streamrisk.__file__).resolve().parent.parent)),
