@@ -1,8 +1,9 @@
 """Samplable distribution models with exact and quadrature-based risk oracles.
 
-Each model carries its cdf/pdf/quantile trio plus closed-form upper-tail
-moments, and refuses a NaN or infinite parameter by name.  ``quantile`` takes
-a float or an array of draws; ``quantile(u, out=x)`` writes an array's
+Each model carries its cdf/pdf/quantile trio plus the closed-form tail
+moments about a point theta, d_k = E[(X - theta)^k 1{X > theta}] for
+k = 0, 1, 2, and refuses a NaN or infinite parameter by name.  ``quantile``
+takes a float or an array of draws; ``quantile(u, out=x)`` writes an array's
 transform into ``x`` (C-contiguous float64, u's shape) with the same
 operations as ``quantile(u)``, so the same bits, and returns ``x``.
 :func:`oracle` assembles the exact risk quantities -- quantile,
@@ -11,9 +12,10 @@ superquantile, density at the quantile, and the tail variance
     v_alpha = E[X^2 1{X > theta}] - (E[X 1{X > theta}])^2,
 
 while :func:`numeric_oracle` recomputes the same structure by bisection on the
-cdf and adaptive Gauss-Legendre quadrature of (x - theta) f(x) and
-(x - theta)^2 f(x) only, so the two routes stay independent cross-checks of
-each other.  numpy is the only library either route uses.
+cdf and adaptive Gauss-Legendre quadrature of (x - theta)^k f(x) only, so the
+two routes stay independent cross-checks of each other.  Both build v_alpha
+from their moments about theta through one recombination,
+:func:`tail_variance`.  numpy is the only library either route uses.
 
 The Gaussian cdf and inverse cdf are Cephes' ``ndtr`` and ``ndtri``, ported
 operation for operation so that every value equals Cephes' own bit for bit:
@@ -110,21 +112,11 @@ class Gaussian:
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
         return self.mean + self.stddev * phi / (1.0 - alpha)
 
-    def tail_first_moment(self, t: float) -> float:
-        z = (float(t) - self.mean) / self.stddev
+    def tail_moments(self, theta: float) -> tuple[float, float, float]:
+        z = (theta - self.mean) / self.stddev
         q = _ndtr(-z)
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
-        return self.mean * q + self.stddev * phi
-
-    def tail_second_moment(self, t: float) -> float:
-        z = (float(t) - self.mean) / self.stddev
-        q = _ndtr(-z)
-        phi = math.exp(-0.5 * z * z) / _SQRT_2PI
-        return (
-            self.mean * self.mean * q
-            + 2.0 * self.mean * self.stddev * phi
-            + self.stddev * self.stddev * (q + z * phi)
-        )
+        return q, self.stddev * (phi - z * q), self.stddev * self.stddev * ((1.0 + z * z) * q - z * phi)
 
     def _quantile_bracket(self, alpha: float) -> tuple[float, float]:
         lo, hi = self.mean - self.stddev, self.mean + self.stddev
@@ -171,14 +163,9 @@ class Exponential:
     def superquantile(self, alpha: float, theta: float) -> float:
         return theta + 1.0 / self.rate
 
-    def tail_first_moment(self, t: float) -> float:
-        t = max(t, 0.0)
-        return math.exp(-self.rate * t) * (t + 1.0 / self.rate)
-
-    def tail_second_moment(self, t: float) -> float:
-        t = max(t, 0.0)
-        r = self.rate
-        return math.exp(-r * t) * (t * t + 2.0 * t / r + 2.0 / (r * r))
+    def tail_moments(self, theta: float) -> tuple[float, float, float]:
+        tail = math.exp(-self.rate * theta)
+        return tail, tail / self.rate, 2.0 * tail / (self.rate * self.rate)
 
     def _quantile_bracket(self, alpha: float) -> tuple[float, float]:
         lo, hi = 0.0, 1.0 / self.rate
@@ -222,13 +209,9 @@ class Uniform:
     def superquantile(self, alpha: float, theta: float) -> float:
         return 0.5 * (theta + self.hi)
 
-    def tail_first_moment(self, t: float) -> float:
-        t = min(max(t, self.lo), self.hi)
-        return (self.hi * self.hi - t * t) / (2.0 * (self.hi - self.lo))
-
-    def tail_second_moment(self, t: float) -> float:
-        t = min(max(t, self.lo), self.hi)
-        return (self.hi**3 - t**3) / (3.0 * (self.hi - self.lo))
+    def tail_moments(self, theta: float) -> tuple[float, float, float]:
+        t, w = self.hi - theta, self.hi - self.lo
+        return t / w, t * t / (2.0 * w), t * t * t / (3.0 * w)
 
     def _quantile_bracket(self, alpha: float) -> tuple[float, float]:
         return self.lo, self.hi
@@ -280,15 +263,10 @@ class Pareto:
     def superquantile(self, alpha: float, theta: float) -> float:
         return theta * self.shape / (self.shape - 1.0)
 
-    def tail_first_moment(self, t: float) -> float:
-        t = max(t, self.scale)
+    def tail_moments(self, theta: float) -> tuple[float, float, float]:
         k = self.shape
-        return k * self.scale**k * t ** (1.0 - k) / (k - 1.0)
-
-    def tail_second_moment(self, t: float) -> float:
-        t = max(t, self.scale)
-        k = self.shape
-        return k * self.scale**k * t ** (2.0 - k) / (k - 2.0)
+        q = (self.scale / theta) ** k
+        return q, theta * q / (k - 1.0), 2.0 * theta * theta * q / ((k - 1.0) * (k - 2.0))
 
     def _quantile_bracket(self, alpha: float) -> tuple[float, float]:
         lo, hi = self.scale, 2.0 * self.scale
@@ -346,6 +324,18 @@ def finite(what: str, formula, *args) -> float:
     return value
 
 
+def tail_variance(model: DistributionModel, theta: float, d0: float, d1: float, d2: float) -> float:
+    """v_alpha = E[X^2 1{X > theta}] - (E[X 1{X > theta}])^2 from the tail
+    moments about theta, d_k = E[(X - theta)^k 1{X > theta}] (d0 the tail
+    mass).  With F = cdf(theta) (alpha but for theta's rounding, which v_alpha
+    can feel), E[X 1{X > theta}] = d1 + theta d0, and the difference is
+    recombined as d2 - d1^2 + F theta (2 d1 + theta d0).  Unlike the raw
+    moments' difference it does not cancel on narrow models far from 0, and
+    F and d0 each keep their relative precision where the other is near 1,
+    which 1 - F would lose as alpha nears 1."""
+    return d2 - d1 * d1 + model.cdf(theta) * theta * (2.0 * d1 + theta * d0)
+
+
 def oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     """Closed-form risk oracle for a supported model at level ``alpha``; a
     ValueError names the first quantity whose closed form overflows."""
@@ -355,15 +345,14 @@ def oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     with np.errstate(all="ignore"):  # numpy scalars overflow quietly; finite() reports it
         theta = finite(f"theta_alpha {where}", model.quantile, alpha)
         vartheta = finite(f"vartheta_alpha {where}", model.superquantile, alpha, theta)
-        e1 = finite(f"tail first moment {where}", model.tail_first_moment, theta)
-        e2 = finite(f"tail second moment {where}", model.tail_second_moment, theta)
+        v_alpha = finite(f"v_alpha {where}", lambda: tail_variance(model, theta, *model.tail_moments(theta)))
         density = finite(f"density_at_quantile {where}", model.pdf, theta)
     return RiskOracle(
         alpha=alpha,
         theta_alpha=theta,
         vartheta_alpha=vartheta,
         density_at_quantile=density,
-        v_alpha=e2 - e1 * e1,
+        v_alpha=v_alpha,
     )
 
 
@@ -381,18 +370,12 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     lo, hi = model._quantile_bracket(alpha)
     theta = _bisect_quantile(model, alpha, lo, hi)
-    # Moments about theta, d_k = E[(X - theta)^k 1{X > theta}], keep e2 - e1^2
-    # from cancelling on narrow models far from 0: with F = cdf(theta) (alpha
-    # but for theta's rounding, which v_alpha can feel), e1 = d1 + theta (1 - F)
-    # and e2 - e1^2 = d2 - d1^2 + F theta (2 d1 + theta (1 - F)).
-    below = model.cdf(theta)
-    d1 = _tail_integral(model, theta, power=1)
-    d2 = _tail_integral(model, theta, power=2)
+    d0, d1, d2 = (_tail_integral(model, theta, power) for power in range(3))
     quantities = dict(
         theta_alpha=theta,
         vartheta_alpha=theta + d1 / (1.0 - alpha),
         density_at_quantile=_fd_density(model, theta, hi - lo),
-        v_alpha=d2 - d1 * d1 + below * theta * (2.0 * d1 + theta * (1.0 - below)),
+        v_alpha=tail_variance(model, theta, d0, d1, d2),
     )
     for name, value in quantities.items():
         if not math.isfinite(value):
@@ -437,8 +420,10 @@ def _tail_integral(model: DistributionModel, lo: float, power: int) -> float:
         half, mid, total = 0.5 * (b - a), 0.5 * (a + b), 0.0
         for t, w in zip(nodes, weights):
             x = mid + half * t
-            d = x - lo
-            total += w * model.pdf(x) * d * (d if power == 2 else 1.0)  # d**2 alone can overflow
+            term = w * model.pdf(x)
+            for _ in range(power):  # float ** would raise where the product overflows
+                term *= x - lo
+            total += term
         return half * total
 
     def piece(a: float, b: float, whole: float, index: int) -> tuple:

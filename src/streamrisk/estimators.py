@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .schedules import StepSchedule, validate
+from .schedules import StepSchedule, require_chain
 
 TraceRow = tuple[int, float, float, float, float, float]
 
@@ -50,12 +50,7 @@ def init(alpha: float, schedule: StepSchedule, theta0: float, sq0: float) -> Joi
     """Fresh state at counter 0 with all superquantile fields at ``sq0``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    report = validate(schedule)
-    if not report.chain_ok:
-        raise ValueError(
-            "schedule violates the exponent chain 1/2 < a < b <= 1: "
-            + "; ".join(report.failures)
-        )
+    require_chain(schedule)
     if not (math.isfinite(theta0) and math.isfinite(sq0)):
         raise ValueError("theta0 and sq0 must be finite")
     return JointEstimatorState(

@@ -53,7 +53,7 @@ from . import distributions
 from ._native import KERNEL, load
 from .distributions import DistributionModel, RiskOracle, substream
 from .estimators import JointEstimatorState, run_stream
-from .schedules import StepSchedule
+from .schedules import StepSchedule, require_chain
 
 VARIANT_KEYS = ("embedded", "classical", "bardou")
 ESTIMATOR_KEYS = ("theta", "theta_bar") + VARIANT_KEYS
@@ -90,6 +90,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
+        require_chain(self.schedule)
         grid = tuple(int(n) for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid must be non-empty")

@@ -19,7 +19,8 @@ class StepSchedule:
     Construction enforces the per-field domains (a1, b1 > 0, a_exp in (0, 1),
     b_exp in (1/2, 1]).  The joint chain 1/2 < a_exp < b_exp <= 1 and the
     theorem side conditions on b1 are *reported* by :func:`validate`, not
-    enforced, so that runs outside the guaranteed regime remain possible.
+    enforced, so that the asymptotics calculator takes any schedule; a run
+    refuses a broken chain through :func:`require_chain`.
     """
 
     a1: float
@@ -96,3 +97,15 @@ def validate(schedule: StepSchedule) -> ValidationReport:
         fast_clt_b1_ok=fast_clt_b1_ok,
         failures=tuple(failures),
     )
+
+
+def require_chain(schedule: StepSchedule) -> None:
+    """Refuse a schedule that breaks the exponent chain 1/2 < a < b <= 1 with
+    a ValueError listing :func:`validate`'s failures: the one admission rule
+    of the replicate engine and the scalar reference."""
+    report = validate(schedule)
+    if not report.chain_ok:
+        raise ValueError(
+            "schedule violates the exponent chain 1/2 < a < b <= 1: "
+            + "; ".join(report.failures)
+        )

@@ -275,6 +275,18 @@ def test_fast_regime_b1_at_half_exits_2_before_the_run(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["rates", "clt", "compare"])
+def test_broken_exponent_chain_exits_2_writing_nothing(tmp_path, capsys, command):
+    # a = 0.8 > b = 0.75: estimators.init refuses the schedule, and so does the run.
+    cfg = _write(tmp_path, "broken.cfg", RATES_SLOW_CFG.replace("a = 0.6", "a = 0.8"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: schedule violates the exponent chain 1/2 < a < b <= 1: "
+        "chain requires a_exp < b_exp, got a_exp=0.8, b_exp=0.75\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 _HUGE_B1_CFG = CLT_FAST_CFG.replace("b1 = 1.0", "b1 = 1e308")
 
 # f * f * n underflows to zero in the averaged-quantile bound.
@@ -354,14 +366,14 @@ class TestAsymptoticsCommand:
         [
             (
                 ("1.0", "0.6666666666666666", "1.0", "1.0"),
-                ("0.25", "0.30208333333333337", "0.25", "0.125", "0.35416666666666674", "5.137280692261779",
-                 "0.10416666666666674", "0.10416666666666674", "0.5", "1.1666666666666665", "1.3333333333333333"),
+                ("0.25", "0.3020833333333333", "0.25", "0.125", "0.35416666666666663", "5.137280692261776",
+                 "0.10416666666666663", "0.10416666666666663", "0.5", "1.1666666666666665", "1.3333333333333333"),
             ),
             # b1 <= 1/2: S^2 and C_alpha,b1 belong to the b = 1 regime, which needs b1 > 1/2.
             (
                 ("1.0", "0.55", "0.3", "0.75"),
-                ("0.25", "0.30208333333333337", "n/a", "n/a", "n/a", "n/a",
-                 "0.10416666666666674", "0.01562500000000001", "0.5", "1.05", "0.875"),
+                ("0.25", "0.3020833333333333", "n/a", "n/a", "n/a", "n/a",
+                 "0.10416666666666663", "0.015624999999999993", "0.5", "1.05", "0.875"),
             ),
         ],
         ids=["b1-above-half", "b1-below-half"],

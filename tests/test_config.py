@@ -162,11 +162,13 @@ _open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_m
 
 @st.composite
 def _configs(draw):
+    # A config admits only schedules on the exponent chain 1/2 < a < b <= 1.
+    a_exp = draw(st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True))
     schedule = StepSchedule(
         a1=draw(_positive),
-        a_exp=draw(_open_unit),
+        a_exp=a_exp,
         b1=draw(_positive),
-        b_exp=draw(st.floats(min_value=0.5, max_value=1.0, exclude_min=True)),
+        b_exp=draw(st.floats(min_value=a_exp, max_value=1.0, exclude_min=True)),
     )
     return ExperimentConfig(
         model=draw(_models()),

@@ -36,6 +36,18 @@ def test_init_rejects_bad_alpha_and_schedule():
         init(0.5, FAST, math.nan, 0.0)
 
 
+@pytest.mark.parametrize(
+    "schedule", [StepSchedule(1.0, 0.4, 1.0, 0.8), StepSchedule(1.0, 0.8, 1.0, 0.75)], ids=["a<=1/2", "a>=b"]
+)
+def test_engine_and_reference_refuse_the_same_broken_chain(schedule):
+    with pytest.raises(ValueError, match="exponent chain") as reference:
+        init(0.5, schedule, 0.0, 0.0)
+    with pytest.raises(ValueError, match="exponent chain") as engine:
+        ExperimentConfig(model=sr.Uniform(0.0, 1.0), alpha=0.5, schedule=schedule, n_grid=(10,), replicates=2,
+                         master_seed=0)
+    assert str(engine.value) == str(reference.value)
+
+
 def test_single_step_sets_cesaro_to_first_iterate():
     st0 = init(0.5, FAST, theta0=7.0, sq0=0.0)
     step(st0, 1.25)

@@ -1,5 +1,6 @@
-"""Every command runs in one fresh interpreter that blocks scipy's import:
-numpy is the only runtime dependency, and scipy a reference for the tests.
+"""Every command runs in one fresh interpreter that blocks scipy's and
+mpmath's imports: numpy is the only runtime dependency, and scipy and mpmath
+references for the tests.
 Importing the CLI loads no module that only worker threads or library builds use."""
 
 import json
@@ -15,10 +16,11 @@ import streamrisk
 from streamrisk.distributions import ZERO_DRAW
 from streamrisk.tables import read_csv
 
-# A None entry in sys.modules makes every import of scipy raise ImportError.
+# A None entry in sys.modules makes every import of its module raise ImportError.
 BLOCKED = """\
 import json, sys
 sys.modules["scipy"] = None
+sys.modules["mpmath"] = None
 import numpy as np
 from streamrisk import cli
 from streamrisk.distributions import Gaussian, sample
