@@ -36,6 +36,6 @@ from .experiments import (
     fit_rate,
     run_experiment,
 )
-from .schedules import StepSchedule, ValidationReport, validate
+from .schedules import StepSchedule, unmet
 
 __version__ = "0.1.0"

@@ -165,12 +165,10 @@ class ComparisonReport:
     """
 
     b1: float
-    b_exp: float
     tau_alpha_sq: float
     gamma_vartheta: float
     embedded_variance: float
     b1_threshold: float
-    degenerate: bool
     verdict: str
 
 
@@ -202,9 +200,8 @@ def variance_comparison(oracle: RiskOracle, b1: float, b_exp: float) -> Comparis
         gamma = finite("gamma_vartheta", lambda: b1 * tau_sq / 2.0)
         embedded = finite("embedded_variance", lambda: b1 * clt_variance_slow(oracle))
     threshold = finite("b1_threshold", lambda: 1.0 - theta / (2.0 * vartheta - theta))
-    degenerate = theta <= 0.0 or vartheta <= theta
 
-    if degenerate:
+    if theta <= 0.0 or vartheta <= theta:
         verdict = VERDICT_DEGENERATE
     elif b_exp == 1.0 and abs(threshold - 0.5) <= 1e-12:
         verdict = VERDICT_BOUNDARY
@@ -217,12 +214,10 @@ def variance_comparison(oracle: RiskOracle, b1: float, b_exp: float) -> Comparis
 
     return ComparisonReport(
         b1=b1,
-        b_exp=b_exp,
         tau_alpha_sq=tau_sq,
         gamma_vartheta=gamma,
         embedded_variance=embedded,
         b1_threshold=threshold,
-        degenerate=degenerate,
         verdict=verdict,
     )
 

@@ -4,7 +4,10 @@ Subcommands: ``oracle`` (exact vs quadrature risk quantities), ``asymptotics``
 (closed-form theorem constants), ``rates`` (MSE curves and log-log fits),
 ``clt`` (empirical vs theoretical CLT covariance), ``compare`` (paired variant
 MSE ratios).  Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
-``rates``, ``clt`` and ``compare`` take their theory from
+``rates``, ``clt``, ``compare`` and ``asymptotics`` print each of the paper's
+hypotheses that the schedule fails (:func:`streamrisk.schedules.unmet`) as
+``hypothesis not met: ...`` and write ``n/a`` for every value of a theorem
+whose hypothesis fails.  The run commands take their theory from
 :mod:`streamrisk.asymptotics` before the run, so a config whose theory is
 rejected or leaves float range exits 2 without simulating a replicate.
 """
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, distributions
+from . import asymptotics, distributions, schedules
 from .config import (
     ConfigError,
     config_summary,
@@ -35,7 +38,7 @@ from .experiments import (
 )
 from .schedules import StepSchedule
 from .svgplot import loglog_plot, scatter_plot
-from .tables import write_csv
+from .tables import fmt_value, write_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,6 +107,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _print_unmet(failed: dict[str, str]) -> dict[str, str]:
+    """Print each unmet hypothesis of ``failed`` (from :func:`schedules.unmet`) on stdout, and return it."""
+    for message in failed.values():
+        print(f"hypothesis not met: {message}")
+    return failed
+
+
 def _check_finite(header: list[str], rows: list[list], labels: int) -> None:
     """A ValueError (exit 2) naming the first float cell of ``rows`` that is not finite, with
     its row's first ``labels`` cells; the run commands check their rows before writing any."""
@@ -147,22 +157,25 @@ def _cmd_oracle(args) -> int:
 def _cmd_asymptotics(args) -> int:
     model = parse_distribution(args.dist)
     schedule = StepSchedule(a1=args.a1, a_exp=args.a, b1=args.b1, b_exp=args.b)
+    # S^2 and C_alpha,b1 are the b = 1 regime's constants, so their hypotheses
+    # are checked as if b = 1, whatever the schedule's b.
+    own = schedules.unmet(schedule)
+    fast = schedules.unmet(dataclasses.replace(schedule, b_exp=1.0))
+    _print_unmet(own | {key: fast[key] for key in ("rate", "clt") if key in fast})
     oracle = distributions.oracle(model, args.alpha)
-    comparison = asymptotics.variance_comparison(oracle, schedule.b1, schedule.b_exp)
+    comparison = None if "clt" in own else asymptotics.variance_comparison(oracle, schedule.b1, schedule.b_exp)
+    s2 = None if "clt" in fast else asymptotics.clt_covariance_fast(oracle, schedule.b1)
     flat = [
         ("quantile_clt_var", asymptotics.quantile_clt_variance(oracle)),
         ("sq_var_slow", asymptotics.clt_variance_slow(oracle)),
     ]
-    # S^2 and C_alpha,b1 are the b = 1 regime's constants, defined for b1 > 1/2
-    # whatever the schedule's b.
-    fast = schedule.b1 > 0.5
-    s2 = asymptotics.clt_covariance_fast(oracle, schedule.b1) if fast else None
     flat += [(f"s2_{i + 1}{j + 1}", None if s2 is None else s2[i, j]) for i, j in ((0, 0), (0, 1), (1, 1))]
+    flat.append(("c_alpha_b1", None if "rate" in fast else asymptotics.c_alpha_b1(oracle, schedule.b1)))
     flat += [
-        ("c_alpha_b1", asymptotics.c_alpha_b1(oracle, schedule.b1) if fast else None),
-        ("tau_alpha_sq", comparison.tau_alpha_sq),
-        ("gamma_vartheta", comparison.gamma_vartheta),
-        ("b1_threshold", comparison.b1_threshold),
+        (key, None if comparison is None else getattr(comparison, key))
+        for key in ("tau_alpha_sq", "gamma_vartheta", "b1_threshold")
+    ]
+    flat += [
         ("averaged_remainder_exponent", asymptotics.averaged_quantile_remainder_exponent(schedule.a_exp)),
         ("embedded_remainder_exponent", asymptotics.embedded_remainder_exponent(schedule)),
     ]
@@ -187,13 +200,16 @@ def _cmd_rates(args) -> int:
     sched = cfg.schedule
     keys = list(cfg.variants) + ["theta_bar"]
     # The theory comes before the run, as in _cmd_clt: one first-order term
-    # per checkpoint for each key that has one.  b = 1 with b1 <= 1/2 has no
-    # superquantile theory.  The plot's "embedded theory" series is drawn
-    # whichever variants run.
+    # per checkpoint and a slope for each key whose theorem's hypothesis
+    # holds.  The embedded bound needs the rate condition and the
+    # classical/Bardou heuristic the CLT's.  The plot's "embedded theory"
+    # series is drawn whichever variants run.
+    failed = _print_unmet(schedules.unmet(sched))
     oracle = distributions.oracle(cfg.model, cfg.alpha)
     bounds = {"theta_bar": asymptotics.mse_bound_averaged_quantile}
-    if not (sched.b_exp == 1.0 and sched.b1 <= 0.5):
+    if "rate" not in failed:
         bounds["embedded"] = asymptotics.mse_bound_embedded
+    if "clt" not in failed:
         bounds["classical"] = bounds["bardou"] = asymptotics.mse_bound_competitor
     theory = {
         key: [bounds[key](oracle, sched, n) for n in cfg.n_grid]
@@ -213,7 +229,7 @@ def _cmd_rates(args) -> int:
             mse_rows += [[key, n, mse[k], stderr[k], first_order[k]] for k, n in enumerate(cfg.n_grid)]
         _check_finite(mse_header, mse_rows, 2)  # the fits need finite mse
         for key in keys:
-            theory_slope = -1.0 if key == "theta_bar" else -sched.b_exp
+            theory_slope = None if key not in bounds else -1.0 if key == "theta_bar" else -sched.b_exp
             if len(cfg.n_grid) >= 3:
                 fit = fit_rate(zip(cfg.n_grid, curves[key]))
                 fit_rows.append([key, fit.slope, fit.intercept, fit.r_squared, theory_slope])
@@ -225,7 +241,7 @@ def _cmd_rates(args) -> int:
     write_csv(out / "mse.csv", mse_header, mse_rows, comments)
     for key, slope, _, r2, theory_slope in fit_rows:
         if slope is not None:
-            print(f"{key}: fitted slope {slope:.4f} (theory {theory_slope}), r2 {r2:.4f}")
+            print(f"{key}: fitted slope {slope:.4f} (theory {fmt_value(theory_slope)}), r2 {r2:.4f}")
     write_csv(out / "ratefit.csv", fit_header, fit_rows, comments)
 
     series = [(key, cfg.n_grid, curves[key], False) for key in keys]
@@ -242,6 +258,7 @@ def _cmd_clt(args) -> int:
         raise ConfigError(f"replicates >= 30 required for clt, got {cfg.replicates}")
     # The theory is computed before the run, so a config it rejects (a fast
     # regime with b1 <= 1/2) fails without simulating any replicate.
+    _print_unmet(schedules.unmet(cfg.schedule))
     oracle = distributions.oracle(cfg.model, cfg.alpha)
     if cfg.schedule.b_exp == 1.0:
         s2 = asymptotics.clt_covariance_fast(oracle, cfg.schedule.b1)
@@ -292,6 +309,7 @@ def _cmd_compare(args) -> int:
     if len(cfg.variants) < 2:
         raise ConfigError("compare requires at least 2 variants in the config")
     # Before the run, as in _cmd_clt.
+    _print_unmet(schedules.unmet(cfg.schedule))
     oracle = distributions.oracle(cfg.model, cfg.alpha)
     theory = asymptotics.variance_comparison(oracle, cfg.schedule.b1, cfg.schedule.b_exp)
     result = run_experiment(cfg, threads=args.threads)

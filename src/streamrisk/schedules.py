@@ -18,9 +18,10 @@ class StepSchedule:
 
     Construction enforces the per-field domains (a1, b1 > 0, a_exp in (0, 1),
     b_exp in (1/2, 1]).  The joint chain 1/2 < a_exp < b_exp <= 1 and the
-    theorem side conditions on b1 are *reported* by :func:`validate`, not
-    enforced, so that the asymptotics calculator takes any schedule; a run
-    refuses a broken chain through :func:`require_chain`.
+    theorems' conditions on b1 are *reported* by :func:`unmet`, not enforced,
+    so that the asymptotics calculator takes any schedule; a run refuses a
+    broken chain through :func:`require_chain`, and every command writes
+    ``n/a`` for a theory value whose hypothesis the schedule fails.
     """
 
     a1: float
@@ -51,61 +52,35 @@ class StepSchedule:
         return self.b1 * float(n + 1) ** (-self.b_exp)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Which hypotheses a schedule satisfies.
+def unmet(schedule: StepSchedule) -> dict[str, str]:
+    """Map each of the paper's hypotheses that ``schedule`` fails to its
+    message; an empty dict when every one holds.
 
-    ``chain_ok`` covers 1/2 < a_exp < b_exp <= 1.  The two b1 conditions only
-    apply when b_exp == 1 (the fast regime) and are ``None`` otherwise:
-    ``fast_rate_b1_ok`` is b1 > min((1 + a_exp)/2, 5/2 - a_exp) and
-    ``fast_clt_b1_ok`` is b1 > 1/2.
+    ``chain`` is 1/2 < a_exp < b_exp <= 1.  In the fast regime b_exp == 1
+    only, ``rate`` is the non-asymptotic MSE bounds' b1 > min((1 + a_exp)/2,
+    5/2 - a_exp) and ``clt`` the diffusion-approximation CLT's b1 > 1/2.
     """
-
-    chain_ok: bool
-    fast_rate_b1_ok: bool | None
-    fast_clt_b1_ok: bool | None
-    failures: tuple[str, ...]
-
-
-def validate(schedule: StepSchedule) -> ValidationReport:
-    """Report (never raise) which theorem hypotheses ``schedule`` satisfies."""
-    failures: list[str] = []
-    chain_ok = 0.5 < schedule.a_exp < schedule.b_exp <= 1.0
+    failed: dict[str, str] = {}
+    chain = []
     if schedule.a_exp <= 0.5:
-        failures.append(f"chain requires a_exp > 1/2, got a_exp={schedule.a_exp}")
+        chain.append(f"chain requires a_exp > 1/2, got a_exp={schedule.a_exp}")
     if schedule.a_exp >= schedule.b_exp:
-        failures.append(
-            f"chain requires a_exp < b_exp, got a_exp={schedule.a_exp}, b_exp={schedule.b_exp}"
-        )
-
-    fast_rate_b1_ok: bool | None = None
-    fast_clt_b1_ok: bool | None = None
+        chain.append(f"chain requires a_exp < b_exp, got a_exp={schedule.a_exp}, b_exp={schedule.b_exp}")
+    if chain:
+        failed["chain"] = "; ".join(chain)
     if schedule.b_exp == 1.0:
         threshold = min((1.0 + schedule.a_exp) / 2.0, 2.5 - schedule.a_exp)
-        fast_rate_b1_ok = schedule.b1 > threshold
-        if not fast_rate_b1_ok:
-            failures.append(
-                f"fast-regime rate bound requires b1 > {threshold}, got b1={schedule.b1}"
-            )
-        fast_clt_b1_ok = schedule.b1 > 0.5
-        if not fast_clt_b1_ok:
-            failures.append(f"fast-regime CLT requires b1 > 1/2, got b1={schedule.b1}")
-
-    return ValidationReport(
-        chain_ok=chain_ok,
-        fast_rate_b1_ok=fast_rate_b1_ok,
-        fast_clt_b1_ok=fast_clt_b1_ok,
-        failures=tuple(failures),
-    )
+        if not schedule.b1 > threshold:
+            failed["rate"] = f"fast-regime rate bound requires b1 > {threshold}, got b1={schedule.b1}"
+        if not schedule.b1 > 0.5:
+            failed["clt"] = f"fast-regime CLT requires b1 > 1/2, got b1={schedule.b1}"
+    return failed
 
 
 def require_chain(schedule: StepSchedule) -> None:
     """Refuse a schedule that breaks the exponent chain 1/2 < a < b <= 1 with
-    a ValueError listing :func:`validate`'s failures: the one admission rule
-    of the replicate engine and the scalar reference."""
-    report = validate(schedule)
-    if not report.chain_ok:
-        raise ValueError(
-            "schedule violates the exponent chain 1/2 < a < b <= 1: "
-            + "; ".join(report.failures)
-        )
+    a ValueError listing every hypothesis it fails (:func:`unmet`): the one
+    admission rule of the replicate engine and the scalar reference."""
+    failed = unmet(schedule)
+    if "chain" in failed:
+        raise ValueError("schedule violates the exponent chain 1/2 < a < b <= 1: " + "; ".join(failed.values()))

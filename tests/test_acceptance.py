@@ -13,7 +13,10 @@ recursions) and a z-score next to the measurement:
 * 7a: embedded/classical MSE ratio 1.516 at n = 1e6, above even the predicted
   1.2526 (z = 3.58) and far from the asymptotic ordering (< 1) asserted.  The
   classical variant nears its asymptote from below at the n^-0.1 rate set by
-  2(b1 - 1/2), so the ratio drops below 1 only near n ~ 1e14.
+  2(b1 - 1/2), so the ratio drops below 1 only near n ~ 1e14.  Its line also
+  names the hypothesis its schedule fails: b1 = 0.55 is below the fast-regime
+  rate condition's 5/6, so no MSE bound covers the run (the CLT's b1 > 1/2,
+  under which the compared limiting variances hold, is met).
 """
 
 import dataclasses
@@ -53,7 +56,7 @@ from streamrisk.experiments import (
     moment_curve,
     run_experiment,
 )
-from streamrisk.schedules import StepSchedule
+from streamrisk.schedules import StepSchedule, unmet
 
 SEED = 20240817
 GRID_1E3_1E6 = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
@@ -251,7 +254,8 @@ def test_criterion_07a_heavy_tail_comparison():
         "7a heavy-tail-comparison", ok,
         f"theory: {theory.verdict}, b1* = {theory.b1_threshold:.4f}; "
         f"empirical ratio {row.mse_ratio:.4f}, 95% CI [{row.ci_low:.4f}, {row.ci_high:.4f}]; "
-        f"linearized ratio {predicted_ratio:.4f}, z = {(row.mse_ratio - predicted_ratio) / se:.2f}",
+        f"linearized ratio {predicted_ratio:.4f}, z = {(row.mse_ratio - predicted_ratio) / se:.2f}"
+        + "".join(f"; hypothesis not met: {message}" for message in unmet(cfg.schedule).values()),
     )
     assert ok, line
 

@@ -205,19 +205,39 @@ class TestRatesCommand:
         emb = [(int(r[n_idx]), float(r[t_idx])) for r in rows if r[0] == "embedded"]
         assert all(x[1] > y[1] for x, y in zip(emb, emb[1:]))
 
-    def test_fast_regime_at_b1_half_has_only_quantile_theory(self, tmp_path):
-        # b = 1 with b1 <= 1/2 has no superquantile theory: its first-order
-        # terms read n/a and the plot has no theory series.
-        cfg = _write(tmp_path, "half.cfg", GOLDEN_CFG.replace("b1 = 1.0", "b1 = 0.5"))
+    @pytest.mark.parametrize(
+        "b1, unmet, without_theory",
+        [
+            # b1 <= 1/2 fails the CLT's hypothesis too: no superquantile theory at all.
+            ("0.5", ("rate", "clt"), ("embedded", "classical", "bardou")),
+            # 1/2 < b1 <= 5/6 fails only the rate condition: the embedded bound is
+            # outside its theorem, the competitors' CLT heuristic is not.
+            ("0.55", ("rate",), ("embedded",)),
+        ],
+        ids=["b1-half", "b1-0.55"],
+    )
+    def test_fast_regime_at_b1_half_has_only_quantile_theory(self, tmp_path, capsys, b1, unmet, without_theory):
+        # The first-order terms and slopes of a theorem whose hypothesis fails
+        # read n/a, and the plot draws no embedded theory series.
+        cfg = _write(tmp_path, "half.cfg", GOLDEN_CFG.replace("b1 = 1.0", f"b1 = {b1}"))
         out = tmp_path / "out"
         assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        messages = {
+            "rate": f"fast-regime rate bound requires b1 > 0.8333333333333333, got b1={b1}",
+            "clt": f"fast-regime CLT requires b1 > 1/2, got b1={b1}",
+        }
+        assert lines[: len(unmet)] == [f"hypothesis not met: {messages[key]}" for key in unmet]
         _, header, rows = read_csv(out / "mse.csv")
         theory = [(r[0], int(r[1]), r[header.index("theory_first_order")]) for r in rows]
-        assert [(key, v) for key, _, v in theory if key != "theta_bar"] == [
-            (key, "n/a") for key in ("embedded", "classical", "bardou") for _ in (10, 100)
-        ]
+        for key, _, value in theory:
+            assert (value == "n/a") == (key in without_theory), (key, value)
         # alpha (1 - alpha) / (f^2 n) with f = 1
         assert [(n, float(v)) for key, n, v in theory if key == "theta_bar"] == [(10, 0.025), (100, 0.0025)]
+        _, header, rows = read_csv(out / "ratefit.csv")
+        assert {r[0]: r[header.index("theory_slope")] for r in rows} == {
+            key: "n/a" if key in without_theory else "-1.0" for key in ("embedded", "classical", "bardou", "theta_bar")
+        }
         svg = (out / "rates.svg").read_text()
         assert ">theta_bar</text>" in svg and "embedded theory" not in svg
 
@@ -362,23 +382,34 @@ class TestAsymptoticsCommand:
         assert "b1_threshold = 0.5" in out
 
     @pytest.mark.parametrize(
-        "schedule, values",
+        "schedule, unmet, values",
         [
             (
                 ("1.0", "0.6666666666666666", "1.0", "1.0"),
+                (),
                 ("0.25", "0.3020833333333333", "0.25", "0.125", "0.35416666666666663", "5.137280692261776",
                  "0.10416666666666663", "0.10416666666666663", "0.5", "1.1666666666666665", "1.3333333333333333"),
             ),
-            # b1 <= 1/2: S^2 and C_alpha,b1 belong to the b = 1 regime, which needs b1 > 1/2.
+            # S^2 and C_alpha,b1 belong to the b = 1 regime: their hypotheses are checked as if b = 1.
             (
                 ("1.0", "0.55", "0.3", "0.75"),
+                ("fast-regime rate bound requires b1 > 0.775, got b1=0.3",
+                 "fast-regime CLT requires b1 > 1/2, got b1=0.3"),
                 ("0.25", "0.3020833333333333", "n/a", "n/a", "n/a", "n/a",
                  "0.10416666666666663", "0.015624999999999993", "0.5", "1.05", "0.875"),
             ),
+            # At b = 1 the comparison needs the CLT as well.
+            (
+                ("1.0", "0.6666666666666666", "0.4", "1.0"),
+                ("fast-regime rate bound requires b1 > 0.8333333333333333, got b1=0.4",
+                 "fast-regime CLT requires b1 > 1/2, got b1=0.4"),
+                ("0.25", "0.3020833333333333", "n/a", "n/a", "n/a", "n/a",
+                 "n/a", "n/a", "n/a", "1.1666666666666665", "1.3333333333333333"),
+            ),
         ],
-        ids=["b1-above-half", "b1-below-half"],
+        ids=["b1-above-half", "b1-below-half", "fast-b1-below-half"],
     )
-    def test_every_constant_on_stdout_and_in_csv(self, tmp_path, capsys, schedule, values):
+    def test_every_constant_on_stdout_and_in_csv(self, tmp_path, capsys, schedule, unmet, values):
         names = (
             "quantile_clt_var", "sq_var_slow", "s2_11", "s2_12", "s2_22", "c_alpha_b1", "tau_alpha_sq",
             "gamma_vartheta", "b1_threshold", "averaged_remainder_exponent", "embedded_remainder_exponent",
@@ -386,7 +417,9 @@ class TestAsymptoticsCommand:
         a1, a, b1, b = schedule
         argv = ["--dist", "uniform:0,1", "--alpha", "0.5", "--a1", a1, "--a", a, "--b1", b1, "--b", b]
         assert main(["asymptotics", *argv, "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == "".join(f"{k} = {v}\n" for k, v in zip(names, values))
+        assert capsys.readouterr().out == "".join(f"hypothesis not met: {m}\n" for m in unmet) + "".join(
+            f"{k} = {v}\n" for k, v in zip(names, values)
+        )
         assert (tmp_path / "asymptotics.csv").read_text() == (
             "# streamrisk asymptotics; dist = uniform lo=0.0 hi=1.0; alpha = 0.5; "
             f"a1 = {a1}; a = {a}; b1 = {b1}; b = {b}\n" + ",".join(names) + "\n" + ",".join(values) + "\n"

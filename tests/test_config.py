@@ -3,6 +3,7 @@ raises, the two spellings of a spec, and configs read back from the summary
 line that heads every CSV."""
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from streamrisk.config import (
     parse_kv_text,
 )
 from streamrisk.experiments import VARIANT_KEYS, ExperimentConfig
-from streamrisk.schedules import StepSchedule
+from streamrisk.schedules import StepSchedule, unmet
 
 CONFIG = {
     "dist": "uniform lo=0 hi=1",
@@ -138,6 +139,22 @@ def test_cli_refuses_an_experiment_id_out_of_range(tmp_path, capsys, experiment_
     assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: experiment_id must be a 64-bit unsigned integer, got {experiment_id}\n"
     assert not (tmp_path / "o").exists()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.name for p in SHIPPED_CONFIGS])
+def test_shipped_config_loads_under_the_papers_hypotheses(path):
+    # README's CLI examples run these; only the heavy-tail comparison's b1 = 0.55
+    # sits below the fast-regime rate condition (5/6 at a = 2/3).
+    cfg = load_experiment_config(path)
+    assert set(unmet(cfg.schedule)) == ({"rate"} if path.name == "compare_pareto.cfg" else set())
+
+
+def test_shipped_configs_are_found():
+    # An empty glob would skip the test above without failing.
+    assert {"compare_pareto.cfg", "golden_small.cfg"} <= {p.name for p in SHIPPED_CONFIGS}
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from streamrisk.schedules import StepSchedule, validate
+from streamrisk.schedules import StepSchedule, require_chain, unmet
 
 
 def test_gain_a_base_case():
@@ -56,34 +56,40 @@ def test_construction_domains():
         StepSchedule(a1=1.0, a_exp=0.6, b1=1.0, b_exp=1.0001)
 
 
-def test_validate_fast_regime_all_ok():
+def test_unmet_fast_regime_all_met():
     # min((1 + 2/3)/2, 5/2 - 2/3) = 5/6 and 1 > 5/6
-    rep = validate(StepSchedule(a1=1.0, a_exp=2 / 3, b1=1.0, b_exp=1.0))
-    assert rep.chain_ok
-    assert rep.fast_rate_b1_ok is True
-    assert rep.fast_clt_b1_ok is True
-    assert not rep.failures
+    assert unmet(StepSchedule(a1=1.0, a_exp=2 / 3, b1=1.0, b_exp=1.0)) == {}
 
 
-def test_validate_chain_fail_low_a():
-    rep = validate(StepSchedule(a1=1.0, a_exp=0.4, b1=1.0, b_exp=0.8))
-    assert not rep.chain_ok
-    assert any("a_exp > 1/2" in f for f in rep.failures)
+def test_unmet_chain_low_a():
+    failed = unmet(StepSchedule(a1=1.0, a_exp=0.4, b1=1.0, b_exp=0.8))
+    assert failed == {"chain": "chain requires a_exp > 1/2, got a_exp=0.4"}
 
 
-def test_validate_chain_fail_ordering():
-    rep = validate(StepSchedule(a1=1.0, a_exp=0.7, b1=1.0, b_exp=0.6))
-    assert not rep.chain_ok
-    assert any("a_exp < b_exp" in f for f in rep.failures)
+def test_unmet_chain_ordering():
+    failed = unmet(StepSchedule(a1=1.0, a_exp=0.7, b1=1.0, b_exp=0.6))
+    assert failed == {"chain": "chain requires a_exp < b_exp, got a_exp=0.7, b_exp=0.6"}
+    with pytest.raises(ValueError, match="^schedule violates the exponent chain 1/2 < a < b <= 1: chain requires"):
+        require_chain(StepSchedule(a1=1.0, a_exp=0.7, b1=1.0, b_exp=0.6))
 
 
-def test_validate_fast_b1_conditions():
-    rep = validate(StepSchedule(a1=1.0, a_exp=2 / 3, b1=0.6, b_exp=1.0))
-    assert rep.chain_ok
-    assert rep.fast_rate_b1_ok is False  # 0.6 < 5/6
-    assert rep.fast_clt_b1_ok is True
-    slow = validate(StepSchedule(a1=1.0, a_exp=0.6, b1=0.6, b_exp=0.75))
-    assert slow.fast_rate_b1_ok is None and slow.fast_clt_b1_ok is None
+def test_unmet_fast_b1_conditions():
+    failed = unmet(StepSchedule(a1=1.0, a_exp=2 / 3, b1=0.6, b_exp=1.0))
+    assert failed == {"rate": "fast-regime rate bound requires b1 > 0.8333333333333333, got b1=0.6"}
+    both = unmet(StepSchedule(a1=1.0, a_exp=2 / 3, b1=0.5, b_exp=1.0))
+    assert list(both) == ["rate", "clt"]
+    assert both["clt"] == "fast-regime CLT requires b1 > 1/2, got b1=0.5"
+    # b < 1 reports no b1 condition, whatever b1.
+    for b1 in (0.05, 0.5, 0.6):
+        assert unmet(StepSchedule(a1=1.0, a_exp=0.6, b1=b1, b_exp=0.75)) == {}
+
+
+@pytest.mark.parametrize("a_exp, threshold", [(2 / 3, 0.8333333333333333), (0.9, 0.95)])
+def test_unmet_rate_condition_is_strict(a_exp, threshold):
+    # b1 equal to min((1 + a)/2, 5/2 - a) fails the rate condition; the next float above meets it.
+    assert threshold == min((1.0 + a_exp) / 2.0, 2.5 - a_exp)
+    assert "rate" in unmet(StepSchedule(a1=1.0, a_exp=a_exp, b1=threshold, b_exp=1.0))
+    assert unmet(StepSchedule(a1=1.0, a_exp=a_exp, b1=math.nextafter(threshold, 2.0), b_exp=1.0)) == {}
 
 
 @given(
@@ -118,6 +124,6 @@ def test_gain_a_doubling_ratio(a1, a_exp, n):
     assert abs(ratio - target) <= 4 * math.ulp(target)
 
 
-def test_validate_is_pure():
+def test_unmet_is_pure():
     s = StepSchedule(a1=1.0, a_exp=0.7, b1=0.6, b_exp=1.0)
-    assert validate(s) == validate(s)
+    assert unmet(s) == unmet(s)
