@@ -1,5 +1,9 @@
 """Build and load the package's C sources through ``ctypes``: :func:`load`.
 
+:data:`LIBRARIES` states each library once, by the stem of its source: the
+C signature of each of its functions, which :func:`typed` alone sets, and
+what runs in its place.  Callers ask for it by stem: ``load("_kernel")``.
+
 Each library is compiled from its source next to this file with the
 interpreter's C compiler, on the first :func:`load` of a process and never at
 import, into a private directory: no cache to invalidate or share.  The loaded
@@ -31,40 +35,51 @@ from pathlib import Path
 
 _lock = threading.Lock()
 _loaded: dict[str, ctypes.CDLL | None] = {}
-# The signatures each stem was first asked for with: a library has one set.
-_signatures: dict[str, dict] = {}
 
-# The replicate kernel, as load takes it: the C signatures of its four
-# functions, and what runs in its place when it cannot be built.  Both
-# distributions (seed) and experiments (draw, step_table, advance) load it.
+# stem: (what runs in its place, {function: argtypes}); every restype is void.
+# distributions loads _kernel (seed) and _normal; experiments loads _kernel
+# (draw, step_table, advance).
 _I64, _U64, _PTR, _DBL = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p, ctypes.c_double
-KERNEL = dict(
-    stem="_kernel",
-    fallback="seeding each replicate through numpy's SeedSequence and folding the scalar reference "
-             "estimators.step over it, tens of times more slowly",
-    seed=[_U64, _U64, _U64, _I64, _PTR],
-    draw=[_I64, _I64, _PTR, _PTR],
-    step_table=[_I64, _I64, _DBL, _DBL, _DBL, _DBL, _PTR, _I64],
-    advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64],
-)
+LIBRARIES: dict[str, tuple[str, dict[str, list]]] = {
+    "_kernel": (
+        "seeding each replicate through numpy's SeedSequence and folding the scalar reference "
+        "estimators.step over it, tens of times more slowly",
+        dict(
+            seed=[_U64, _U64, _U64, _I64, _PTR],
+            draw=[_I64, _I64, _PTR, _PTR],
+            step_table=[_I64, _I64, _DBL, _DBL, _DBL, _DBL, _PTR, _I64],
+            advance=[_I64, _I64, _PTR, _PTR, _I64, _DBL, _DBL, _PTR, _I64],
+        ),
+    ),
+    "_normal": (
+        "Gaussian draws go through the scalar reference _ndtri, about a microsecond each",
+        dict(normal_quantile=[_I64, _PTR, _DBL, _DBL, _PTR]),  # x[i] = mean + sd * ndtri(u[i])
+    ),
+}
 
 
-def load(stem: str, fallback: str, **signatures) -> ctypes.CDLL | None:
-    """The library built from ``<stem>.c``, or None when it cannot be built.
+def load(stem: str) -> ctypes.CDLL | None:
+    """The library of ``LIBRARIES[stem]``, built from ``<stem>.c``, or None
+    when it cannot be built.
 
-    It is built once per process, even when several threads ask at once.
-    Each keyword names one of its functions and gives its ``argtypes`` (its
-    ``restype`` is None); they are set when the library is built, so a later
-    call with other signatures raises ValueError rather than return a library
-    whose functions convert their arguments otherwise.  A failed build warns
-    once, quoting the compiler's error and saying ``fallback``: what runs in
-    the library's place."""
+    It is built once per process, even when several threads ask at once.  A
+    failed build warns once, quoting the compiler's error and saying what
+    runs in the library's place."""
     with _lock:
-        if _signatures.setdefault(stem, signatures) != signatures:
-            raise ValueError(f"library {stem} is loaded with signatures {_signatures[stem]}, not {signatures}")
         if stem not in _loaded:
-            _loaded[stem] = _build(stem, fallback, signatures)
+            _loaded[stem] = _build(stem)
         return _loaded[stem]
+
+
+def typed(stem: str, path: str) -> ctypes.CDLL:
+    """The library at ``path``, built from ``<stem>.c``, with the argtypes and
+    restype of each function that ``LIBRARIES[stem]`` names set."""
+    library = ctypes.CDLL(path)
+    for name, argtypes in LIBRARIES[stem][1].items():
+        function = getattr(library, name)
+        function.argtypes = argtypes
+        function.restype = None
+    return library
 
 
 def compile_command(stem: str, output: str) -> list[str]:
@@ -78,7 +93,7 @@ def compile_command(stem: str, output: str) -> list[str]:
             "-shared", "-o", output, str(source), "-lm"]
 
 
-def _build(stem: str, fallback: str, signatures: dict) -> ctypes.CDLL | None:
+def _build(stem: str) -> ctypes.CDLL | None:
     # Imported here and in compile_command, so that a process that builds nothing
     # does not import them.
     import subprocess
@@ -88,18 +103,13 @@ def _build(stem: str, fallback: str, signatures: dict) -> ctypes.CDLL | None:
         with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
             output = os.path.join(tmp, f"{stem}.so")
             subprocess.run(compile_command(stem, output), check=True, capture_output=True, timeout=120)
-            library = ctypes.CDLL(output)
+            return typed(stem, output)
     except (OSError, subprocess.SubprocessError) as exc:
         # The compiler's own message is in its stderr, not in str(exc).
         detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()[-2000:]
         warnings.warn(
-            f"native library {stem} not built ({exc}{': ' + detail if detail else ''}); {fallback}",
+            f"native library {stem} not built ({exc}{': ' + detail if detail else ''}); {LIBRARIES[stem][0]}",
             RuntimeWarning,
             stacklevel=3,
         )
         return None
-    for name, argtypes in signatures.items():
-        function = getattr(library, name)
-        function.argtypes = argtypes
-        function.restype = None
-    return library

@@ -154,6 +154,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+_ASYMPTOTICS_COLUMNS = (
+    "quantile_clt_var", "sq_var_slow", "s2_11", "s2_12", "s2_22", "c_alpha_b1", "tau_alpha_sq",
+    "gamma_vartheta", "b1_threshold", "averaged_remainder_exponent", "embedded_remainder_exponent",
+)
+
+
 def _cmd_asymptotics(args) -> int:
     model = parse_distribution(args.dist)
     schedule = StepSchedule(a1=args.a1, a_exp=args.a, b1=args.b1, b_exp=args.b)
@@ -163,29 +169,33 @@ def _cmd_asymptotics(args) -> int:
     fast = schedules.unmet(dataclasses.replace(schedule, b_exp=1.0))
     _print_unmet(own | {key: fast[key] for key in ("rate", "clt") if key in fast})
     oracle = distributions.oracle(model, args.alpha)
-    comparison = None if "clt" in own else asymptotics.variance_comparison(oracle, schedule.b1, schedule.b_exp)
-    s2 = None if "clt" in fast else asymptotics.clt_covariance_fast(oracle, schedule.b1)
-    flat = [
-        ("quantile_clt_var", asymptotics.quantile_clt_variance(oracle)),
-        ("sq_var_slow", asymptotics.clt_variance_slow(oracle)),
-    ]
-    flat += [(f"s2_{i + 1}{j + 1}", None if s2 is None else s2[i, j]) for i, j in ((0, 0), (0, 1), (1, 1))]
-    flat.append(("c_alpha_b1", None if "rate" in fast else asymptotics.c_alpha_b1(oracle, schedule.b1)))
-    flat += [
-        (key, None if comparison is None else getattr(comparison, key))
-        for key in ("tau_alpha_sq", "gamma_vartheta", "b1_threshold")
-    ]
-    flat += [
-        ("averaged_remainder_exponent", asymptotics.averaged_quantile_remainder_exponent(schedule.a_exp)),
-        ("embedded_remainder_exponent", asymptotics.embedded_remainder_exponent(schedule)),
-    ]
-    for key, value in flat:
+    flat = dict.fromkeys(_ASYMPTOTICS_COLUMNS)
+    # Every theorem behind these constants assumes the chain 1/2 < a < b <= 1:
+    # on a broken chain each reads n/a.
+    if "chain" not in own:
+        if "clt" not in own:
+            comparison = asymptotics.variance_comparison(oracle, schedule.b1, schedule.b_exp)
+            flat.update((key, getattr(comparison, key)) for key in ("tau_alpha_sq", "gamma_vartheta", "b1_threshold"))
+        if "clt" not in fast:
+            s2 = asymptotics.clt_covariance_fast(oracle, schedule.b1)
+            flat.update(s2_11=s2[0, 0], s2_12=s2[0, 1], s2_22=s2[1, 1])
+        flat.update(
+            quantile_clt_var=asymptotics.quantile_clt_variance(oracle),
+            sq_var_slow=asymptotics.clt_variance_slow(oracle),
+        )
+        if "rate" not in fast:
+            flat["c_alpha_b1"] = asymptotics.c_alpha_b1(oracle, schedule.b1)
+        flat.update(
+            averaged_remainder_exponent=asymptotics.averaged_quantile_remainder_exponent(schedule.a_exp),
+            embedded_remainder_exponent=asymptotics.embedded_remainder_exponent(schedule),
+        )
+    for key, value in flat.items():
         print(f"{key} = {'n/a' if value is None else repr(float(value))}")
     if args.out is not None:
         write_csv(
             _out_dir(args) / "asymptotics.csv",
-            [k for k, _ in flat],
-            [[v for _, v in flat]],
+            list(flat),
+            [list(flat.values())],
             comments=[
                 "streamrisk asymptotics; "
                 f"dist = {format_distribution(model)}; alpha = {args.alpha!r}; "

@@ -20,11 +20,13 @@ from their moments about theta through one recombination,
 The Gaussian cdf and inverse cdf are Cephes' ``ndtr`` and ``ndtri``, ported
 operation for operation so that every value equals Cephes' own bit for bit:
 :func:`_ndtr` and :func:`_ndtri` in Python for scalars (the oracles and the
-``u = 0`` mend), and the compiled ``_normal.c``, built through
-:func:`streamrisk._native.load` on the first array :meth:`Gaussian.quantile`
-of a process, for the draws.  When it cannot be built, array draws go through
-:func:`_ndtri` one by one, after one ``RuntimeWarning``: the same values,
-about 1.2 us a draw instead of 7 ns (2**17 uniform draws, AVX-512 Xeon).
+``u = 0`` mend), and the compiled ``_normal.c``, built by
+``_native.load("_normal")`` on the first array :meth:`Gaussian.quantile` of a
+process, for the draws; its C signature and fallback are stated in
+:data:`streamrisk._native.LIBRARIES`.  When it cannot be built, array draws go
+through :func:`_ndtri` one by one, after one ``RuntimeWarning``: the same
+values, about 1.2 us a draw instead of 7 ns (2**17 uniform draws, AVX-512
+Xeon).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from ._native import KERNEL, load
+from ._native import load
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -55,16 +57,6 @@ _MAX_SPLITS = 500
 # Read in place of a u = 0 draw whose inverse-cdf transform is non-finite; it
 # is half the smallest positive value rng.random() returns (2**-53).
 ZERO_DRAW = 2.0**-54
-
-# The Gaussian's compiled transform, as _native.load takes it: the C signature
-# of x[i] = mean + sd * ndtri(u[i]), and what runs in its place when it cannot
-# be built.
-_NORMAL = dict(
-    stem="_normal",
-    fallback="Gaussian draws go through the scalar reference _ndtri, about a microsecond each",
-    normal_quantile=[ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p],
-)
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
@@ -100,7 +92,7 @@ class Gaussian:
             return self.mean + self.stddev * _ndtri(float(u))
         u = np.ascontiguousarray(u, dtype=np.float64)
         x = np.empty_like(u) if out is None else out
-        library = load(**_NORMAL)
+        library = load("_normal")
         if library is None:
             x[...] = np.reshape([self.mean + self.stddev * _ndtri(y) for y in u.ravel().tolist()], u.shape)
         else:
@@ -538,7 +530,7 @@ def substream(master_seed: int, experiment_id: int, replicate: int) -> np.random
     for name, value in zip(("master_seed", "experiment_id", "replicate"), entropy):
         if not 0 <= value < 2**64:
             raise ValueError(f"seed component {name} must be a 64-bit unsigned integer, got {value}")
-    kernel = load(**KERNEL)
+    kernel = load("_kernel")
     if kernel is None:
         return np.random.default_rng(entropy)
     words = (ctypes.c_uint64 * 4)()

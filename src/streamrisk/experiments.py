@@ -3,9 +3,10 @@ empirical CLT covariances, and paired variant comparison.  The theory these
 measurements are read against lives in :mod:`streamrisk.asymptotics`; nothing
 here computes it.
 
-Replicates draw and advance in a small C kernel (``_kernel.c``), which
-:func:`streamrisk._native.load` compiles on the first run of a process and
-loads through ``ctypes``, which releases the GIL.  The kernel draws each
+Replicates draw and advance in a small C kernel (``_kernel.c``), whose C
+signatures ``_native.LIBRARIES`` states; ``_native.load("_kernel")`` compiles
+it on the first run of a process and loads it through ``ctypes``, which
+releases the GIL.  The kernel draws each
 replicate's uniforms with a port of numpy's PCG64 that equals
 ``Generator.random`` bit for bit, from a copy of each generator's state read
 once per run (after a cold start's first draw, which numpy makes), so the
@@ -50,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from . import distributions
-from ._native import KERNEL, load
+from ._native import load
 from .distributions import DistributionModel, RiskOracle, substream
 from .estimators import JointEstimatorState, run_stream
 from .schedules import StepSchedule, require_chain
@@ -234,7 +235,7 @@ def _simulate_block(
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
     out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_total))
-    _advance(load(**KERNEL), config, rngs, state, out, workers)
+    _advance(load("_kernel"), config, rngs, state, out, workers)
     return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
 
 

@@ -25,16 +25,11 @@ def width_command(stem: str, output: str, width: str) -> list[str]:
     return command
 
 
-def build_at_width(spec: dict, directory, width: str) -> ctypes.CDLL:
-    """The library of ``spec``, as _native.load takes it, built in ``directory`` at ``width``."""
-    output = str(directory / f"{spec['stem']}-{width}.so")
-    subprocess.run(width_command(spec["stem"], output, width), check=True, capture_output=True, timeout=120)
-    library = ctypes.CDLL(output)
-    for name, argtypes in spec.items():
-        if name not in ("stem", "fallback"):
-            getattr(library, name).argtypes = argtypes
-            getattr(library, name).restype = None
-    return library
+def build_at_width(stem: str, directory, width: str) -> ctypes.CDLL:
+    """The library of ``_native.LIBRARIES[stem]``, built in ``directory`` at ``width``."""
+    output = str(directory / f"{stem}-{width}.so")
+    subprocess.run(width_command(stem, output, width), check=True, capture_output=True, timeout=120)
+    return _native.typed(stem, output)
 
 
 @pytest.fixture

@@ -406,8 +406,14 @@ class TestAsymptoticsCommand:
                 ("0.25", "0.3020833333333333", "n/a", "n/a", "n/a", "n/a",
                  "n/a", "n/a", "n/a", "1.1666666666666665", "1.3333333333333333"),
             ),
+            # Every constant's theorem assumes the chain 1/2 < a < b <= 1.
+            (
+                ("1.0", "0.8", "1.0", "0.75"),
+                ("chain requires a_exp < b_exp, got a_exp=0.8, b_exp=0.75",),
+                ("n/a",) * 11,
+            ),
         ],
-        ids=["b1-above-half", "b1-below-half", "fast-b1-below-half"],
+        ids=["b1-above-half", "b1-below-half", "fast-b1-below-half", "chain-broken"],
     )
     def test_every_constant_on_stdout_and_in_csv(self, tmp_path, capsys, schedule, unmet, values):
         names = (

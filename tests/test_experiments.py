@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import WIDTHS, build_at_width, width_command
 
 import streamrisk as sr
-from streamrisk import _native, distributions
+from streamrisk import _native
 from streamrisk import experiments as ex
 from streamrisk.distributions import ZERO_DRAW, sample, substream
 from streamrisk.estimators import JointEstimatorState, init, step
@@ -333,7 +333,7 @@ class _Like:
 
 @pytest.fixture(scope="module")
 def kernel():
-    kernel = _native.load(**_native.KERNEL)
+    kernel = _native.load("_kernel")
     if kernel is None:
         pytest.skip("the replicate kernel could not be built here")
     return kernel
@@ -384,7 +384,7 @@ def test_advance_gives_the_same_bits_at_either_width(tmp_path):
     # 17, and 33, also after whole groups.  Each count runs a chunk of random
     # draws and a step whose draws tie theta (even lanes) or theta_bar (odd
     # lanes); the draws are step-major, (steps, lanes).
-    host, narrow = (build_at_width(_native.KERNEL, tmp_path, width) for width in WIDTHS)
+    host, narrow = (build_at_width("_kernel", tmp_path, width) for width in WIDTHS)
     rng = np.random.default_rng(20261019)
     n0, alpha = 3, 0.9
     for lanes in [*range(1, 18), 33]:
@@ -473,16 +473,16 @@ def test_c_source_compiles_without_warnings(tmp_path, source, width):
     assert done.returncode == 0, done.stderr
 
 
-def test_package_data_lists_every_c_source_and_header():
-    # An installed package builds its libraries from the files it ships, so
-    # every source and header the builds read must be package data.
+def test_one_library_per_c_source_and_every_source_packaged():
+    # Each C source is one library of _native.LIBRARIES, and an installed
+    # package builds them from the files it ships: without a source or the
+    # header they share, it falls back to the scalar references silently.
     tomllib = pytest.importorskip("tomllib")
     package = Path(_native.__file__).parent
+    sources = sorted(p.name for p in package.glob("*.c"))
+    assert sorted(_native.LIBRARIES) == [name.removesuffix(".c") for name in sources]
     pyproject = tomllib.loads((package.parent.parent / "pyproject.toml").read_text())
-    listed = set(pyproject["tool"]["setuptools"]["package-data"]["streamrisk"])
-    native = {p.name for pattern in ("*.c", "*.h") for p in package.glob(pattern)}
-    assert native >= {"_kernel.c", "_normal.c", "_simd.h"}
-    assert native <= listed
+    assert sorted(pyproject["tool"]["setuptools"]["package-data"]["streamrisk"]) == sorted([*sources, "_simd.h"])
 
 
 def test_calls_inside_a_library_bind_to_that_library(tmp_path):
@@ -503,27 +503,16 @@ def test_calls_inside_a_library_bind_to_that_library(tmp_path):
 _C_TYPES = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "double": ctypes.c_double}
 
 
-@pytest.mark.parametrize("spec", [_native.KERNEL, distributions._NORMAL], ids=lambda spec: spec["stem"])
-def test_ctypes_signatures_match_c_prototypes(spec):
+@pytest.mark.parametrize("stem", sorted(_native.LIBRARIES))
+def test_ctypes_signatures_match_c_prototypes(stem):
     # ctypes passes what argtypes says, whatever the C function takes: a
     # mismatch is undefined behaviour that no call reports.
-    source = Path(ex.__file__).with_name(f"{spec['stem']}.c").read_text()
+    source = Path(ex.__file__).with_name(f"{stem}.c").read_text()
     prototypes = {
         name: [ctypes.c_void_p if "*" in param else _C_TYPES[param.split()[-2]] for param in params.split(",")]
         for name, params in re.findall(r"^void (\w+)\(([^)]*)\)", source, re.M)
     }
-    assert prototypes == {name: argtypes for name, argtypes in spec.items() if name not in ("stem", "fallback")}
-
-
-def test_load_refuses_other_signatures_for_a_loaded_library(kernel):
-    # The library's argtypes are its first caller's: a second spec would have
-    # its calls convert their arguments by the first's types.
-    other = dict(_native.KERNEL, seed=[ctypes.c_int64] * 4 + [ctypes.c_void_p])
-    with pytest.raises(ValueError, match="^library _kernel is loaded with signatures "):
-        _native.load(**other)
-    with pytest.raises(ValueError, match="^library _kernel is loaded with signatures "):
-        _native.load(stem="_kernel", fallback="none", draw=_native.KERNEL["draw"])
-    assert _native.load(**_native.KERNEL) is kernel
+    assert prototypes == _native.LIBRARIES[stem][1]
 
 
 @pytest.mark.parametrize("warm", [True, False])

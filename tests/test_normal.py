@@ -120,9 +120,9 @@ def test_library_built_once_across_threads(monkeypatch):
     # Engine workers can make a process's first array quantile concurrently.
     builds = []
 
-    def counting_build(stem, fallback, signatures):
+    def counting_build(stem):
         builds.append(stem)
-        return real_build(stem, fallback, signatures)
+        return real_build(stem)
 
     real_build = _native._build
     monkeypatch.setattr(_native, "_build", counting_build)
@@ -134,7 +134,7 @@ def test_library_built_once_across_threads(monkeypatch):
 
     def worker(i):
         start.wait()
-        libraries[i] = _native.load(**distributions._NORMAL)
+        libraries[i] = _native.load("_normal")
         results[i] = Gaussian(0.0, 1.0).quantile(u[i])
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
@@ -160,7 +160,7 @@ _SPECIAL = [0.0, 1.0, math.nan, -0.1, 1.1, -0.0, 5e-324, 2.0**-1030, 1e-20, math
 
 
 def _pin_block_transform(u, mean=0.5, sd=2.0):
-    assert _native.load(**distributions._NORMAL) is not None
+    assert _native.load("_normal") is not None
     x = Gaussian(mean, sd).quantile(u)
     _same(x, mean + sd * ndtri(u))
     _same(x, [mean + sd * _ndtri(float(y)) for y in u])
@@ -213,7 +213,7 @@ def test_transform_gives_the_same_bits_at_either_width(tmp_path):
     # The edge sets above (0, 1, NaN, 2**-54, both sides of exp(-2) and
     # exp(-32), the far tails) at every position modulo either vector width,
     # and every _SPECIAL value among central and tail draws.
-    libraries = [build_at_width(distributions._NORMAL, tmp_path, width) for width in WIDTHS]
+    libraries = [build_at_width("_normal", tmp_path, width) for width in WIDTHS]
     edges = _ndtri_inputs(20_000)
     specials = np.random.default_rng(8).random(2 * _BLOCK + 1)
     specials[::7] = np.resize(_SPECIAL, specials[::7].size)

@@ -22,7 +22,7 @@ _U64 = _WORDS_EDGES | st.integers(1, 64).flatmap(lambda bits: st.integers(0, 2**
 
 @pytest.fixture(scope="module")
 def kernel():
-    kernel = _native.load(**_native.KERNEL)
+    kernel = _native.load("_kernel")
     if kernel is None:
         pytest.skip("the replicate kernel could not be built here")
     return kernel
