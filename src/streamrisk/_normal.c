@@ -20,13 +20,27 @@
  * 17.5-18.3 against 15.4-16.2 per tail draw at 4 doubles), and the rest W per
  * vector: each lane takes the P1/Q1 or the P2/Q2 polynomials on a comparison
  * mask, and masks give 0, 1, NaN and values outside [0, 1] their results.  So
- * every tail draw takes one path, and the results are the same bits at either
+ * every tail draw takes one path, and the results are the same bits at every
  * width.  The tests pin both passes to
  * distributions._ndtri and to Cephes' own ndtri.  The vector polynomial
  * loops are unrolled: at -O2 gcc keeps them as loops, and a uniform draw then
  * takes about 2 ns more (9.6 against 7.6 ns at 4 doubles, 12.1 against 10.0
  * at 2; the fastest of 150 calls on 2^17 draws, AVX-512 Xeon).
+ *
+ * Where gcc targets AVX-512 F, DQ and VL, W is 8 (set here, before _simd.h
+ * picks 4 or 2), and three steps use AVX-512 instructions through gcc's
+ * builtins: the central pass lists a vector's tails by one compress-store of
+ * their values and one of their indices, where other targets append them
+ * lane by lane; sqrt(-2 log y) is one vector sqrt per 8 tails, which rounds
+ * correctly as libm's sqrt does, so the bits are the same; and the tail pass
+ * writes a vector's results back by one masked scatter.  The two logs stay
+ * libm calls, one loop each, and they set the floor.  Per draw, 2^17 draws,
+ * medians of 30 alternating rounds against 4 doubles on an AVX-512 Xeon:
+ * uniform 5.1 -> 4.0 ns, central 1.9 -> 1.3, tail only 15.6 -> 12.3.
  */
+#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512VL__) && !defined(__clang__)
+#define W 8
+#endif
 #include "_simd.h"
 
 /* libm's log and sqrt, declared here rather than through <math.h>, whose
@@ -136,6 +150,30 @@ static inline void store(double *p, vd v, int count)
         p[j] = v[j];
 }
 
+#if W == 8
+/* AVX-512's mask registers, through gcc's builtins (clang names some of them
+ * differently, and <immintrin.h> would more than double the compile): one bit
+ * per lane. */
+typedef int vs8 __attribute__((vector_size(32)));
+typedef unsigned char mask8;
+#define CMP_GT_OQ 0x1e
+#define CMP_LE_OQ 0x12
+#define CUR_ROUNDING 4
+
+/* The lanes of m where v's lanes compare to a by predicate: as v > a or
+ * v <= a, false on NaN. */
+static inline mask8 compare(vd v, double a, int predicate, mask8 m)
+{
+    return __builtin_ia32_cmppd512_mask(v, splat(a), predicate, m, CUR_ROUNDING);
+}
+
+/* The first count lanes. */
+static inline mask8 first(int count)
+{
+    return (mask8)((1u << count) - 1);
+}
+#endif
+
 #define BLOCK 256
 
 /* Draws u[0..m), m <= BLOCK, into x. */
@@ -152,6 +190,14 @@ static void block(int m, const double *u, double mean, double sd, double *x)
     for (int i = 0; i < m; i += W) {
         int count = m - i < W ? m - i : W;
         vd v = load(u + i, count);
+#if W == 8
+        store(x + i, mean + sd * central(v), count);
+        /* One compress-store each of the tails' values and of their indices. */
+        mask8 tails = first(count) & ~compare(v, 1.0 - EXP_M2, CMP_LE_OQ, compare(v, EXP_M2, CMP_GT_OQ, 0xFF));
+        __builtin_ia32_compressstoredf512_mask((vd *)(y0 + nt), v, tails);
+        __builtin_ia32_compressstoresi256_mask((vs8 *)(idx + nt), (vs8){0, 1, 2, 3, 4, 5, 6, 7} + i, tails);
+        nt += __builtin_popcount(tails);
+#else
         vi above = (vi)(v > splat(EXP_M2)), upto = (vi)(v <= splat(1.0 - EXP_M2));
         store(x + i, mean + sd * central(v), count);
 #pragma GCC unroll 4
@@ -160,6 +206,7 @@ static void block(int m, const double *u, double mean, double sd, double *x)
             y0[nt] = v[j];
             nt += 1 + (int)(above[j] & upto[j]);  /* a mask is -1 where set */
         }
+#endif
     }
 
     /* Above 1 - exp(-2), y = 1 - y0; below, y = y0, on the comparison mask. */
@@ -173,18 +220,34 @@ static void block(int m, const double *u, double mean, double sd, double *x)
      * calls of different draws overlap rather than wait on each other. */
     for (int k = 0; k < nt; k++)
         tx[k] = log(y[k]);
+#if W == 8
+    /* The vector sqrt rounds correctly, as libm's does: the same bits.  The
+     * spare slots take sqrt(-2 * -0.5) = 1. */
+    for (int j = 0; j < W; j++)
+        tx[nt + j] = -0.5;
+    for (int k = 0; k < nt; k += W)
+        store(tx + k, __builtin_ia32_sqrtpd512_mask(-2.0 * load(tx + k, W), splat(0.0), 0xFF, CUR_ROUNDING), W);
+#else
     for (int k = 0; k < nt; k++)
         tx[k] = sqrt(-2.0 * tx[k]);
+#endif
     for (int k = 0; k < nt; k++)
         lx[k] = log(tx[k]);
     for (int j = 0; j < W; j++)
         tx[nt + j] = lx[nt + j] = 1.0;
     for (int k = 0; k < nt; k += W) {
         vd r = mean + sd * tail(load(y0 + k, W), load(tx + k, W), load(lx + k, W));
+#if W == 8
+        /* One masked scatter of the vector's tail draws to their places. */
+        vs8 at;
+        __builtin_memcpy(&at, idx + k, sizeof at);
+        __builtin_ia32_scattersiv8df(x, nt - k < W ? first(nt - k) : 0xFF, at, r, 8);
+#else
 #pragma GCC unroll 4
         for (int j = 0; j < W; j++)
             if (k + j < nt)
                 x[idx[k + j]] = r[j];
+#endif
     }
 }
 

@@ -3,14 +3,18 @@
  * they round as the scalar ones at any width.  One register per vector: W is
  * 4 where the compiler targets AVX2 and 2 (one SSE2 register) elsewhere;
  * without AVX2, gcc lowers a 32-byte vector piecewise, and it runs slower
- * than scalar code. */
+ * than scalar code.  A source may preset W before including this header:
+ * _normal.c sets 8 (one AVX-512 register) where the compiler targets
+ * AVX-512 F, DQ and VL, and _kernel.c keeps the choice below. */
 #pragma once
 #include <stdint.h>
 
+#ifndef W
 #ifdef __AVX2__
 #define W 4
 #else
 #define W 2
+#endif
 #endif
 typedef double vd __attribute__((vector_size(8 * W)));
 typedef int64_t vi __attribute__((vector_size(8 * W)));

@@ -4,6 +4,8 @@ Subcommands: ``oracle`` (exact vs quadrature risk quantities), ``asymptotics``
 (closed-form theorem constants), ``rates`` (MSE curves and log-log fits),
 ``clt`` (empirical vs theoretical CLT covariance), ``compare`` (paired variant
 MSE ratios).  Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
+``oracle`` checks the closed form by quadrature; where the quadrature fails,
+its cells read ``n/a`` and one line says why, and the command exits 0.
 ``rates``, ``clt``, ``compare`` and ``asymptotics`` print each of the paper's
 hypotheses that the schedule fails (:func:`streamrisk.schedules.unmet`) as
 ``hypothesis not met: ...`` and write ``n/a`` for every value of a theorem
@@ -130,18 +132,26 @@ _ORACLE_FIELDS = ("theta_alpha", "vartheta_alpha", "density_at_quantile", "v_alp
 def _cmd_oracle(args) -> int:
     model = parse_distribution(args.dist)
     closed = distributions.oracle(model, args.alpha)
-    numeric = distributions.numeric_oracle(model, args.alpha)
+    # The closed form is the answer and the quadrature its check: a quadrature
+    # that fails leaves its cells n/a and says why.
+    try:
+        numeric, failure = distributions.numeric_oracle(model, args.alpha), []
+    except distributions.QuadratureError as exc:
+        numeric, failure = None, [f"quadrature not available: {exc}"]
     print(f"# {format_distribution(model)}; alpha = {args.alpha!r}")
     print(f"{'quantity':<22}{'closed_form':>18}{'quadrature':>18}{'abs_diff':>14}")
     header = list(_ORACLE_FIELDS) + ["vartheta_over_theta"]
-    rows = [(getattr(closed, field), getattr(numeric, field)) for field in _ORACLE_FIELDS]
+    rows = [(getattr(closed, field), getattr(numeric, field, None)) for field in _ORACLE_FIELDS]
     # vartheta / theta reads as a multiple of the quantile only when theta > 0.
-    rows.append(tuple(o.vartheta_alpha / o.theta_alpha if o.theta_alpha > 0 else None for o in (closed, numeric)))
+    rows.append(tuple(o.vartheta_alpha / o.theta_alpha if o is not None and o.theta_alpha > 0 else None
+                      for o in (closed, numeric)))
     # Equal values differ by 0, also when both overflow to inf.
     rows = [(c, q, None if None in (c, q) else 0.0 if c == q else abs(c - q)) for c, q in rows]
     for name, row in zip(header, rows):
         c, q, d = ("n/a" if v is None else format(v, spec) for v, spec in zip(row, (".10g", ".10g", ".3e")))
         print(f"{name:<22}{c:>18}{q:>18}{d:>14}")
+    for line in failure:
+        print(line)
     if args.out is not None:
         sources = ("closed_form", "quadrature", "abs_discrepancy")
         csv_rows = [[source] + [row[k] for row in rows] for k, source in enumerate(sources)]
@@ -149,7 +159,7 @@ def _cmd_oracle(args) -> int:
             _out_dir(args) / "oracle.csv",
             ["source"] + header,
             csv_rows,
-            comments=[f"streamrisk oracle; dist = {format_distribution(model)}; alpha = {args.alpha!r}"],
+            comments=[f"streamrisk oracle; dist = {format_distribution(model)}; alpha = {args.alpha!r}", *failure],
         )
     return 0
 

@@ -1,4 +1,6 @@
 import ctypes
+import functools
+import os
 import shutil
 import subprocess
 
@@ -9,19 +11,35 @@ from streamrisk import _native
 from streamrisk.asymptotics import clt_covariance_fast
 from streamrisk.distributions import RiskOracle
 
-# The vector widths the C sources compile to: the host's (4 doubles where the
-# compiler targets AVX2) and the 2 doubles of a target without AVX2.
-WIDTHS = ("host", "2-double")
+# The vector widths the C sources compile to: the host's (8 doubles in
+# _normal.c where the compiler targets AVX-512 F, DQ and VL, else 4 where it
+# targets AVX2), the 4 doubles of AVX2 without AVX-512, and the 2 doubles of a
+# target without AVX2.
+WIDTHS = ("host", "4-double", "2-double")
+
+
+@functools.cache
+def targets_avx2(cc: str) -> bool:
+    """Whether ``cc -march=native`` targets AVX2."""
+    macros = subprocess.run([cc, "-march=native", "-dM", "-E", "-x", "c", os.devnull], capture_output=True, text=True,
+                            timeout=120).stdout
+    return "__AVX2__" in macros
 
 
 def width_command(stem: str, output: str, width: str) -> list[str]:
     """_native's command that builds ``<stem>.c`` into ``output``, at ``width``:
-    for 2 doubles, for the compiler's default target with __AVX2__ undefined."""
+    for 4 doubles, for the host with AVX-512 off (skipped where the compiler
+    targets no AVX2 here); for 2 doubles, for the compiler's default target
+    with __AVX2__ undefined."""
     command = _native.compile_command(stem, output)
-    if width == "2-double":
-        command = [arg for arg in command if arg != "-march=native"] + ["-U__AVX2__"]
     if shutil.which(command[0]) is None:
         pytest.skip(f"no C compiler {command[0]!r} here")
+    if width == "4-double":
+        if not targets_avx2(command[0]):
+            pytest.skip(f"{command[0]!r} targets no AVX2 here")
+        command.append("-mno-avx512f")
+    elif width == "2-double":
+        command = [arg for arg in command if arg != "-march=native"] + ["-U__AVX2__"]
     return command
 
 
@@ -30,6 +48,14 @@ def build_at_width(stem: str, directory, width: str) -> ctypes.CDLL:
     output = str(directory / f"{stem}-{width}.so")
     subprocess.run(width_command(stem, output, width), check=True, capture_output=True, timeout=120)
     return _native.typed(stem, output)
+
+
+def build_at_every_width(stem: str, directory) -> list[ctypes.CDLL]:
+    """The library of ``_native.LIBRARIES[stem]`` at each of WIDTHS that the
+    compiler targets here, the host's first (which skips the test where there
+    is no compiler)."""
+    cc = _native.compile_command(stem, "")[0]
+    return [build_at_width(stem, directory, width) for width in WIDTHS if width != "4-double" or targets_avx2(cc)]
 
 
 @pytest.fixture

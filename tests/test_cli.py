@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import re
 import tempfile
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamrisk import cli, distributions, experiments
-from streamrisk.cli import main
+from streamrisk.cli import _ORACLE_FIELDS, main
 from streamrisk.experiments import _KERNEL_LANES
 from streamrisk.tables import fmt_value, read_csv, render_csv
 
@@ -487,20 +488,40 @@ def test_unknown_command_exits_2():
         # A tail integral that is not finite once printed with exit 0.
         ("gaussian:0,5e-324", "5e-324", "vartheta_alpha of Gaussian(mean=0.0, stddev=5e-324) at alpha = 5e-324 "
          "is inf by quadrature"),
+        # A narrow model far from 0, whose tail-mass integral misses its
+        # tolerance: the command died (exit 3) and wrote no oracle.csv.
+        ("gaussian:80231352.44765453,0.00010883410650514157", "0.539", "tail integral of (x - 80231352.44766518)^0 "
+         "f(x) reached abs error 3.101e-07 for value 4.610077e-01 (target 1e-9 relative)"),
     ],
 )
-def test_quadrature_oracle_out_of_float_range_exits_3(capsys, dist, alpha, message):
-    assert main(["oracle", "--dist", dist, "--alpha", alpha]) == 3
-    assert capsys.readouterr().err == f"runtime error: {message}\n"
+def test_failed_quadrature_reads_n_a_beside_the_closed_form(tmp_path, capsys, dist, alpha, message):
+    # The closed form is the answer and the quadrature its check: a failed
+    # quadrature leaves its cells and their differences n/a, says why on one
+    # line, and the command exits 0.
+    assert main(["oracle", "--dist", dist, "--alpha", alpha, "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-1] == f"quadrature not available: {message}"
+    table = [line.split() for line in lines[2:-1]]
+    assert [cells[0] for cells in table] == [*_ORACLE_FIELDS, "vartheta_over_theta"]
+    assert all(cells[2:] == ["n/a", "n/a"] for cells in table)
+    comments, header, rows = read_csv(tmp_path / "oracle.csv")
+    assert f"quadrature not available: {message}" in comments
+    assert [row[0] for row in rows] == ["closed_form", "quadrature", "abs_discrepancy"]
+    assert rows[1][1:] == rows[2][1:] == ["n/a"] * 5
+    for field in _ORACLE_FIELDS:
+        assert math.isfinite(float(rows[0][header.index(field)])), field
 
 
-def test_quadrature_too_coarse_for_the_model_exits_3(capsys, monkeypatch):
+def test_quadrature_too_coarse_for_the_model_reads_n_a(capsys, monkeypatch):
     # Quadrature quantities that break RiskOracle's invariants (here a negative
     # first tail moment puts the superquantile below the quantile) are a
     # quadrature failure inside numeric_oracle, not a usage error.
     monkeypatch.setattr(distributions, "_tail_integral", lambda model, lo, power: -1.0 if power == 1 else 1.0)
-    assert main(["oracle", "--dist", "gaussian:0,1", "--alpha", "0.9"]) == 3
-    assert capsys.readouterr().err.startswith("runtime error: superquantile must dominate the quantile: ")
+    assert main(["oracle", "--dist", "gaussian:0,1", "--alpha", "0.9"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "quadrature not available: superquantile must dominate the quantile: ")
 
 
 # Values that sit at or past the edges of float arithmetic, for the property below.
@@ -531,10 +552,14 @@ _DIST = st.sampled_from([("gaussian", 2), ("exponential", 1), ("uniform", 2), ("
 # The quadrature's theta equals the closed form's 1e-323, and both ratios
 # vartheta/theta overflow to inf, whose difference printed nan.
 @example(command="oracle", dist="exponential:0.5", alpha="5e-324", a1="1", a="0.6", b1="1", b="1")
+# The quadrature's density at theta is NaN: its cells read n/a, and the line
+# that says why names the NaN.
+@example(command="oracle", dist="gaussian:281474976710694.0,1.0", alpha="5e-324", a1="1", a="0.6", b1="1", b="1")
 @settings(max_examples=300, deadline=2000)
 def test_edge_inputs_exit_cleanly(command, dist, alpha, a1, a, b1, b):
     # Every outcome is a success, a usage error or a runtime error with a
-    # message, never an escaped exception, and a success prints no NaN.
+    # message, never an escaped exception, and a success prints no NaN value
+    # (oracle's line on a failed quadrature quotes that failure's message).
     argv = [command, f"--dist={dist}", f"--alpha={alpha}"]
     if command == "asymptotics":
         argv += [f"--a1={a1}", f"--a={a}", f"--b1={b1}", f"--b={b}"]
@@ -543,7 +568,8 @@ def test_edge_inputs_exit_cleanly(command, dist, alpha, a1, a, b1, b):
         code = main(argv)
     assert code in (0, 2, 3), (code, err.getvalue())
     if code == 0:
-        assert "nan" not in out.getvalue(), out.getvalue()
+        values = [line for line in out.getvalue().splitlines() if not line.startswith("quadrature not available: ")]
+        assert "nan" not in "\n".join(values), out.getvalue()
     else:
         assert err.getvalue().startswith(("error: ", "runtime error: ")), err.getvalue()
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import WIDTHS, build_at_width, width_command
+from conftest import WIDTHS, build_at_every_width, width_command
 
 import streamrisk as sr
 from streamrisk import _native
@@ -380,11 +380,13 @@ def test_kernel_draw_equals_numpy_random(kernel, lanes, span, cold):
 
 def test_advance_gives_the_same_bits_at_either_width(tmp_path):
     # Every lane count from 1 to 2W + 1 at the widest W (4 doubles) leaves
-    # every remainder of a group of one or two vectors at either width; up to
+    # every remainder of a group of one or two vectors at every width; up to
     # 17, and 33, also after whole groups.  Each count runs a chunk of random
     # draws and a step whose draws tie theta (even lanes) or theta_bar (odd
-    # lanes); the draws are step-major, (steps, lanes).
-    host, narrow = (build_at_width("_kernel", tmp_path, width) for width in WIDTHS)
+    # lanes); the draws are step-major, (steps, lanes).  Every width the
+    # compiler targets here takes part: the host's, 4 and 2 doubles.
+    libraries = build_at_every_width("_kernel", tmp_path)
+    host = libraries[0]
     rng = np.random.default_rng(20261019)
     n0, alpha = 3, 0.9
     for lanes in [*range(1, 18), 33]:
@@ -395,12 +397,13 @@ def test_advance_gives_the_same_bits_at_either_width(tmp_path):
             table = np.empty((4, span))
             host.step_table(span, n0, FAST.a1, FAST.a_exp, FAST.b1, FAST.b_exp, table.ctypes.data, span)
             states = []
-            for library in (host, narrow):
+            for library in libraries:
                 state = start.copy()
                 library.advance(lanes, span, x.ctypes.data, table.ctypes.data, span, alpha,
                                 1.0 / (1.0 - alpha), state.ctypes.data, lanes)
                 states.append(state.view(np.uint64))
-            assert np.array_equal(*states), (lanes, span)
+            for other in states[1:]:
+                assert np.array_equal(states[0], other), (lanes, span)
 
 
 def test_chunk_memory_stays_within_budget(kernel):

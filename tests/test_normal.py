@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from conftest import WIDTHS, build_at_width
+from conftest import build_at_every_width
 from streamrisk import _native, distributions
 from streamrisk.distributions import Gaussian, _ndtr, _ndtri
 
@@ -182,18 +182,30 @@ def test_block_transform_special_value_at_any_position(value):
         _pin_block_transform(u)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
-@pytest.mark.parametrize("kind", ["central", "lower", "upper", "both-tails", "all-special"])
-def test_block_transform_runs_of_one_kind(kind, n):
+_RUN_LENGTHS = [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+_RUN_KINDS = ["central", "lower", "upper", "both-tails", "all-special", "last-vector-tails"]
+
+
+def _run_of_one_kind(kind, n):
+    """n draws of one kind: central, tail (lower, upper or both), _SPECIAL
+    values, or central but for tails in the last partial vector of 8 (the
+    last draw where 8 divides n)."""
     rng = np.random.default_rng(n)
-    if kind == "central":
+    if kind in ("central", "last-vector-tails"):
         u = rng.uniform(_E2, 1.0 - _E2, n)
         u[0], u[-1] = 1.0 - _E2, math.nextafter(_E2, 1.0)  # the two ends of the central range
-    else:
-        tails = np.exp(-rng.uniform(2.0, 40.0, n))  # some y <= exp(-32) among them
-        u = {"lower": tails, "upper": 1.0 - tails, "both-tails": np.where(rng.random(n) < 0.5, tails, 1.0 - tails),
-             "all-special": rng.choice(_SPECIAL, n)}[kind]
-    _pin_block_transform(u)
+        if kind == "last-vector-tails":
+            u[-(n % 8 or 1):] = np.resize([_E2, 1e-20, 1.0 - 1e-15, 0.01], n % 8 or 1)
+        return u
+    tails = np.exp(-rng.uniform(2.0, 40.0, n))  # some y <= exp(-32) among them
+    return {"lower": tails, "upper": 1.0 - tails, "both-tails": np.where(rng.random(n) < 0.5, tails, 1.0 - tails),
+            "all-special": rng.choice(_SPECIAL, n)}[kind]
+
+
+@pytest.mark.parametrize("n", _RUN_LENGTHS)
+@pytest.mark.parametrize("kind", _RUN_KINDS)
+def test_block_transform_runs_of_one_kind(kind, n):
+    _pin_block_transform(_run_of_one_kind(kind, n))
 
 
 def test_nan_draws_take_the_scalar_references_nan_bits():
@@ -211,18 +223,22 @@ def test_nan_draws_take_the_scalar_references_nan_bits():
 
 def test_transform_gives_the_same_bits_at_either_width(tmp_path):
     # The edge sets above (0, 1, NaN, 2**-54, both sides of exp(-2) and
-    # exp(-32), the far tails) at every position modulo either vector width,
-    # and every _SPECIAL value among central and tail draws.
-    libraries = [build_at_width("_normal", tmp_path, width) for width in WIDTHS]
+    # exp(-32), the far tails) at every position modulo each vector width,
+    # every _SPECIAL value among central and tail draws, and the runs of one
+    # kind, at every width the compiler targets here (8, 4 and 2 doubles on
+    # an AVX-512 host).
+    libraries = build_at_every_width("_normal", tmp_path)
     edges = _ndtri_inputs(20_000)
     specials = np.random.default_rng(8).random(2 * _BLOCK + 1)
     specials[::7] = np.resize(_SPECIAL, specials[::7].size)
-    for u in [edges[shift:] for shift in range(4)] + [specials]:
+    runs = [_run_of_one_kind(kind, n) for kind in _RUN_KINDS for n in _RUN_LENGTHS]
+    for u in [edges[shift:] for shift in range(8)] + [specials] + runs:
         u = np.ascontiguousarray(u)
         results = []
         for library in libraries:
             x = np.empty_like(u)
             library.normal_quantile(u.size, u.ctypes.data, 0.5, 2.0, x.ctypes.data)
-            results.append(x)
-        _same(results[0], 0.5 + 2.0 * ndtri(u))
-        assert np.array_equal(results[0].view(np.uint64), results[1].view(np.uint64))
+            results.append(x.view(np.uint64))
+        _same(results[0].view(np.float64), 0.5 + 2.0 * ndtri(u))
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
