@@ -19,11 +19,15 @@
 typedef double vd __attribute__((vector_size(8 * W)));
 typedef int64_t vi __attribute__((vector_size(8 * W)));
 
+/* The lane loops below are unrolled at every W, 8 included: tuned for a real
+ * AVX-512 CPU (not generic x86-64-v4), gcc 12 warns that load's rolled 8-lane
+ * loop may use v uninitialized. */
+
 /* Every element a (as (vd){} + a would not be for a = -0.0). */
 static inline vd splat(double a)
 {
     vd v;
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (int j = 0; j < W; j++)
         v[j] = a;
     return v;
@@ -38,7 +42,7 @@ static inline vd load(const double *p, int count)
         __builtin_memcpy(&v, p, sizeof v);
         return v;
     }
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (int j = 0; j < W; j++)
         v[j] = p[j < count ? j : count - 1];
     return v;

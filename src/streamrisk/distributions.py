@@ -360,6 +360,8 @@ def numeric_oracle(model: DistributionModel, alpha: float) -> RiskOracle:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    if alpha < sys.float_info.min:  # a cdf value this small has fewer than 53 bits, or reads 0
+        raise QuadratureError(f"alpha = {alpha!r} is below the smallest normal float {sys.float_info.min!r}")
     lo, hi = model._quantile_bracket(alpha)
     theta = _bisect_quantile(model, alpha, lo, hi)
     d0, d1, d2 = (_tail_integral(model, theta, power) for power in range(3))

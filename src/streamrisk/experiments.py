@@ -7,11 +7,11 @@ Replicates draw and advance in a small C kernel (``_kernel.c``), whose C
 signatures ``_native.LIBRARIES`` states; ``_native.load("_kernel")`` compiles
 it on the first run of a process and loads it through ``ctypes``, which
 releases the GIL.  The kernel draws each
-replicate's uniforms with a port of numpy's PCG64 that equals
-``Generator.random`` bit for bit, from a copy of each generator's state read
-once per run (after a cold start's first draw, which numpy makes), so the
-generator objects are read, not advanced; generators of any other kind draw
-through their own ``random``.  It walks replicates one or two SIMD vectors
+replicate's uniforms, a cold start's first one included, with a port of
+numpy's PCG64 that equals ``Generator.random`` bit for bit, from a copy of
+each generator's state read once per run before any draw, so the generator
+objects are read, not advanced; generators of any other kind draw through
+their own ``random``.  It walks replicates one or two SIMD vectors
 at a time, a replicate per vector element, through a chunk of steps with the
 arithmetic of :func:`streamrisk.estimators.step`, operation for operation and
 without a branch on the data, so a replicate is bit-identical to running its
@@ -222,20 +222,78 @@ def _simulate_block(
     """Advance replicates ``rngs`` to max(n_grid) with the compiled kernel,
     which must stay in lockstep with estimators.step (same operations in the
     same order on each lane), or with estimators.step itself when the kernel
-    cannot be built.
-    """
+    cannot be built.  The state goes through the n-grid in chunks of at most
+    _KERNEL_STEPS steps, none of which runs past the next checkpoint, where
+    the loop copies it into the results.  The calling thread has the kernel
+    fill the chunk's step table once, then maps the chunk's sub-blocks of
+    _KERNEL_LANES lanes over ``workers`` threads and joins them before the
+    next chunk.  Each sub-block is drawn, transformed, and walked through the
+    chunk by the kernel, or by estimators.step when the kernel is None."""
+    sched, model = config.schedule, config.model
     r_total = len(rngs)
+    kernel = load("_kernel")
+    # Who draws is decided once, before the first draw: the kernel, from a
+    # copy of the generators' states, or else the generators themselves.
+    words = None if kernel is None else _pcg64_words(rngs)
+
+    def draw(lo: int, hi: int, u: np.ndarray, n: int, x: np.ndarray | None = None) -> np.ndarray:
+        """Replicates lo..hi-1's transformed draws for steps n + 1 onward, their
+        uniforms in ``u`` (steps, lanes)."""
+        if words is None:
+            return _draws(model, rngs[lo:hi], u, lo, n, x)
+        kernel.draw(hi - lo, u.shape[0], words[lo:].ctypes.data, u.ctypes.data)
+        return _transform(model, u, lo, n, x)
+
     if config.warm_start:
         theta = np.full(r_total, float(oracle.theta_alpha))
         sq0 = np.full(r_total, float(oracle.vartheta_alpha))
     else:
         # A cold start takes each replicate's first draw, its step 0, as theta_0.
-        theta = _draws(config.model, rngs, np.empty((1, r_total)), 0, -1)[0]
+        theta = draw(0, r_total, np.empty((1, r_total)), -1)[0]
         sq0 = theta / (1.0 - config.alpha)
     # Rows in ESTIMATOR_KEYS order: theta, theta_bar, embedded, classical, bardou.
     state = np.stack([theta, theta, sq0, sq0, sq0])
     out = np.empty((len(config.n_grid), len(ESTIMATOR_KEYS), r_total))
-    _advance(load("_kernel"), config, rngs, state, out, workers)
+    table = np.empty((4, _KERNEL_STEPS))  # gain_a, gain_b, n/(n+1), 1/(n+1)
+    inv1ma = 1.0 / (1.0 - config.alpha)
+    # Each thread draws and transforms every sub-block in the same two
+    # step-major buffers, kept for the whole run: an array made per sub-block
+    # goes back to the OS when freed and is faulted in again.
+    mine = threading.local()
+
+    def sub_block(lo: int) -> None:
+        hi = min(lo + _KERNEL_LANES, r_total)
+        if not hasattr(mine, "u"):
+            size = min(_KERNEL_LANES, r_total) * _KERNEL_STEPS
+            mine.u, mine.x = np.empty(size), np.empty(size)
+        u, x = (buf[: span * (hi - lo)].reshape(span, hi - lo) for buf in (mine.u, mine.x))
+        draw(lo, hi, u, n, x)
+        if kernel is None:
+            _fold_scalar(config, x, n, state[:, lo:hi])
+        else:
+            kernel.advance(hi - lo, span, x.ctypes.data, table.ctypes.data, _KERNEL_STEPS,
+                           config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total)
+
+    n = 0
+    if workers > 1:  # a run that starts no worker does not import concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        fan_out = map if pool is None else pool.map
+        for c, checkpoint in enumerate(config.n_grid):
+            while n < checkpoint:
+                span = min(_KERNEL_STEPS, checkpoint - n)
+                if kernel is not None:
+                    kernel.step_table(span, n, sched.a1, sched.a_exp, sched.b1, sched.b_exp,
+                                      table.ctypes.data, _KERNEL_STEPS)
+                    # The table must hold the schedule's own gains: a schedule whose
+                    # gains are not the power laws of its fields, or a pow that is
+                    # not the interpreter's, would part the kernel from estimators.step.
+                    if table[0, 0] != sched.gain_a(max(n, 1)) or table[1, 0] != sched.gain_b(n):
+                        raise RuntimeError(f"step table differs from the schedule's gains at step {n}")
+                list(fan_out(sub_block, range(0, r_total, _KERNEL_LANES)))
+                n += span
+                _check_finite(state, n)
+            out[c] = state
     return {key: out[:, k] for k, key in enumerate(ESTIMATOR_KEYS)}
 
 
@@ -277,9 +335,9 @@ def _transform(model: DistributionModel, u: np.ndarray, first_replicate: int, n:
 
 def _pcg64_words(rngs) -> np.ndarray | None:
     """Each generator's PCG64 state and increment as a (lanes, 4) uint64 array,
-    low words first, as the kernel's draw reads and advances them; None unless
-    every generator is a numpy Generator on a PCG64, whose random the kernel
-    reproduces.  The generators are read, not advanced."""
+    low words first, which the kernel's draw advances in the generators' place
+    (they are read, not advanced); None unless every generator is a numpy
+    Generator on a PCG64, whose random the kernel reproduces."""
     if not all(type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64 for rng in rngs):
         return None
     words = np.empty((len(rngs), 4), dtype=np.uint64)
@@ -295,65 +353,6 @@ def _check_finite(state: np.ndarray, n: int) -> None:
         raise RuntimeError(
             f"estimator {ESTIMATOR_KEYS[k]!r} became non-finite in replicate {int(r)} by step {n}"
         )
-
-
-def _advance(kernel, config, rngs, state, out, workers) -> None:
-    """Advance ``state`` (5, lanes) through the n-grid in chunks of at most
-    _KERNEL_STEPS steps, none of which runs past the next checkpoint; on
-    reaching checkpoint c the loop copies ``state`` into ``out[c]``.  The
-    calling thread has the kernel fill the chunk's step table once, then maps
-    the chunk's sub-blocks of _KERNEL_LANES lanes over ``workers`` threads and
-    joins them before the next chunk.  Each sub-block is drawn, by the kernel
-    from a copy of its generators' states taken here or else by the
-    generators themselves, transformed, and walked through the chunk by the
-    kernel, or by estimators.step when ``kernel`` is None."""
-    sched, model = config.schedule, config.model
-    r_total = len(rngs)
-    words = None if kernel is None else _pcg64_words(rngs)
-    table = np.empty((4, _KERNEL_STEPS))  # gain_a, gain_b, n/(n+1), 1/(n+1)
-    inv1ma = 1.0 / (1.0 - config.alpha)
-    # Each thread draws and transforms every sub-block in the same two
-    # step-major buffers, kept for the whole run: an array made per sub-block
-    # goes back to the OS when freed and is faulted in again.
-    mine = threading.local()
-
-    def sub_block(lo: int) -> None:
-        hi = min(lo + _KERNEL_LANES, r_total)
-        if not hasattr(mine, "u"):
-            size = min(_KERNEL_LANES, r_total) * _KERNEL_STEPS
-            mine.u, mine.x = np.empty(size), np.empty(size)
-        u, x = (buf[: span * (hi - lo)].reshape(span, hi - lo) for buf in (mine.u, mine.x))
-        if words is None:
-            _draws(model, rngs[lo:hi], u, lo, n, x)
-        else:
-            kernel.draw(hi - lo, span, words[lo:].ctypes.data, u.ctypes.data)
-            _transform(model, u, lo, n, x)
-        if kernel is None:
-            _fold_scalar(config, x, n, state[:, lo:hi])
-        else:
-            kernel.advance(hi - lo, span, x.ctypes.data, table.ctypes.data, _KERNEL_STEPS,
-                           config.alpha, inv1ma, state.ctypes.data + 8 * lo, r_total)
-
-    n = 0
-    if workers > 1:  # a run that starts no worker does not import concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        fan_out = map if pool is None else pool.map
-        for c, checkpoint in enumerate(config.n_grid):
-            while n < checkpoint:
-                span = min(_KERNEL_STEPS, checkpoint - n)
-                if kernel is not None:
-                    kernel.step_table(span, n, sched.a1, sched.a_exp, sched.b1, sched.b_exp,
-                                      table.ctypes.data, _KERNEL_STEPS)
-                    # The table must hold the schedule's own gains: a schedule whose
-                    # gains are not the power laws of its fields, or a pow that is
-                    # not the interpreter's, would part the kernel from estimators.step.
-                    if table[0, 0] != sched.gain_a(max(n, 1)) or table[1, 0] != sched.gain_b(n):
-                        raise RuntimeError(f"step table differs from the schedule's gains at step {n}")
-                list(fan_out(sub_block, range(0, r_total, _KERNEL_LANES)))
-                n += span
-                _check_finite(state, n)
-            out[c] = state
 
 
 def _fold_scalar(config, x, n, state) -> None:

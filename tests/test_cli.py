@@ -486,8 +486,14 @@ def test_unknown_command_exits_2():
         ("gaussian:-1,1e-300", "0.5", "stddev 1e-300 is below the float spacing at mean -1.0"),
         ("gaussian:0.5,1e-100", "1e-16", "stddev 1e-100 is below the float spacing at mean 0.5"),
         # A tail integral that is not finite once printed with exit 0.
-        ("gaussian:0,5e-324", "5e-324", "vartheta_alpha of Gaussian(mean=0.0, stddev=5e-324) at alpha = 5e-324 "
+        ("gaussian:0,5e-324", "1e-300", "vartheta_alpha of Gaussian(mean=0.0, stddev=5e-324) at alpha = 1e-300 "
          "is inf by quadrature"),
+        # Below the smallest normal float the cdf has fewer than 53 bits or
+        # reads 0, so bisection cannot place the quantile: alpha is refused
+        # by name before any quadrature.
+        ("gaussian:0,1", "1e-320", "alpha = 1e-320 is below the smallest normal float 2.2250738585072014e-308"),
+        ("gaussian:281474976710694.0,1.0", "5e-324",
+         "alpha = 5e-324 is below the smallest normal float 2.2250738585072014e-308"),
         # A narrow model far from 0, whose tail-mass integral misses its
         # tolerance: the command died (exit 3) and wrote no oracle.csv.
         ("gaussian:80231352.44765453,0.00010883410650514157", "0.539", "tail integral of (x - 80231352.44766518)^0 "

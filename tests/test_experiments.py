@@ -243,8 +243,7 @@ class TestRunExperiment:
     def test_zero_draw_is_read_as_zero_draw_constant(self):
         # A u = 0 draw maps to -inf under the Gaussian inverse cdf; the engine
         # must read it as ZERO_DRAW, as the scalar reference does, in the
-        # initial draw (lane 0, drawn by numpy) and inside a chunk (lane 1,
-        # drawn by the kernel).
+        # initial draw (lane 0) and inside a chunk (lane 1).
         cfg = small_config(model=sr.Gaussian(0.0, 1.0), n_grid=(3, 40), replicates=3)
         zero_at = {0: 0, 1: 7}
 
@@ -364,9 +363,9 @@ def test_kernel_draw_equals_numpy_random(kernel, lanes, span, cold):
     # numpy promises PCG64's bit stream, not Generator.random's across
     # versions: this pins the kernel's port to the numpy it runs with, at
     # every lane count of a sub-block and one more (a whole vector group and
-    # the scalar rest).  Three calls carry each lane's state over; a cold
-    # start has drawn one value through numpy before the kernel reads the
-    # state.  The draws are step-major: lane l of step t at u[t, l].
+    # the scalar rest).  Three calls carry each lane's state over, read from
+    # fresh generators or from ones that have drawn a value through numpy.
+    # The draws are step-major: lane l of step t at u[t, l].
     rngs = [substream(31, lanes, r) for r in range(lanes)]
     if cold:
         ex._draws(sr.Uniform(0, 1), rngs, np.empty((1, lanes)), 0, -1)
@@ -376,6 +375,18 @@ def test_kernel_draw_equals_numpy_random(kernel, lanes, span, cold):
         kernel.draw(lanes, span, words.ctypes.data, u.ctypes.data)
         want = np.stack([rng.random(span) for rng in rngs], axis=1)
         assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cold_start_leaves_the_generators_untouched(kernel, workers):
+    # The kernel makes every draw of a run, a cold start's first one included,
+    # from a copy of the generators' states: across two sub-blocks and two
+    # chunks, each generator ends in the state a fresh substream starts in.
+    cfg = small_config(replicates=ex._KERNEL_LANES + 3, n_grid=(3, ex._KERNEL_STEPS + 5))
+    rngs = [substream(cfg.master_seed, 0, r) for r in range(cfg.replicates)]
+    _simulate_block(cfg, sr.oracle(cfg.model, cfg.alpha), rngs, workers)
+    for r, rng in enumerate(rngs):
+        assert rng.bit_generator.state == substream(cfg.master_seed, 0, r).bit_generator.state, r
 
 
 def test_advance_gives_the_same_bits_at_either_width(tmp_path):
